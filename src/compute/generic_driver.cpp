@@ -98,12 +98,7 @@ Result<DeployedNf> GenericVnfDriver::deploy(const NfDeploySpec& spec,
     }
     record.lsi_ports.push_back(port.value());
     deployed.ports.push_back(PortAttachment{port.value(), std::nullopt});
-    // Switch -> NF (burst variant keeps classified bursts together).
-    (void)lsi.set_port_peer(
-        port.value(),
-        [instance, p](packet::PacketBuffer&& frame) {
-          instance->inject(nnf::kDefaultContext, p, std::move(frame));
-        });
+    // Switch -> NF: a classified burst stays together.
     (void)lsi.set_port_burst_peer(
         port.value(),
         [instance, p](packet::PacketBurst&& burst) {
@@ -113,14 +108,6 @@ Result<DeployedNf> GenericVnfDriver::deploy(const NfDeploySpec& spec,
   // NF -> switch: outputs re-enter the LSI pipeline on the matching port.
   std::vector<nfswitch::PortId> port_map = record.lsi_ports;
   nfswitch::Lsi* lsi_ptr = &lsi;
-  instance->set_egress(
-      nnf::kDefaultContext,
-      [lsi_ptr, port_map](nnf::NfPortIndex out_port,
-                          packet::PacketBuffer&& frame) {
-        if (out_port < port_map.size()) {
-          lsi_ptr->receive(port_map[out_port], std::move(frame));
-        }
-      });
   instance->set_burst_egress(
       nnf::kDefaultContext,
       [lsi_ptr, port_map](nnf::NfPortIndex out_port,

@@ -29,86 +29,14 @@ NfInstance::NfInstance(InstanceId id, std::string name,
       simulator_(simulator),
       station_(simulator, queue_capacity) {}
 
-void NfInstance::set_egress(nnf::ContextId ctx, Egress egress) {
+void NfInstance::set_burst_egress(nnf::ContextId ctx, BurstEgress egress) {
   egress_[ctx] = std::move(egress);
 }
 
-void NfInstance::set_burst_egress(nnf::ContextId ctx, BurstEgress egress) {
-  burst_egress_[ctx] = std::move(egress);
-}
+void NfInstance::clear_egress(nnf::ContextId ctx) { egress_.erase(ctx); }
 
-void NfInstance::clear_egress(nnf::ContextId ctx) {
-  egress_.erase(ctx);
-  burst_egress_.erase(ctx);
-}
-
-void NfInstance::inject(nnf::ContextId ctx, nnf::NfPortIndex port,
-                        packet::PacketBuffer&& frame) {
-  // Burst-of-1 over the one packet-ingress contract. NetworkFunction's
-  // default process_burst() delegates to per-frame process(), so NFs
-  // without a dedicated burst path behave exactly as before.
-  packet::PacketBurst single;
-  single.push_back(std::move(frame));
-  inject_burst(ctx, port, std::move(single));
-}
-
-void NfInstance::inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
-                              packet::PacketBurst&& burst) {
-  if (state_ != InstanceState::kRunning) {
-    dropped_not_running_ += burst.size();
-    return;
-  }
-  if (burst.empty()) return;
-  sim::SimTime service = 0;
-  for (const packet::PacketBuffer& frame : burst) {
-    service += cost_.service_time(frame.size());
-  }
-  auto held = std::make_shared<packet::PacketBurst>(std::move(burst));
-  station_.submit(service, [this, ctx, port, held]() {
-    auto outputs = function_->process_burst(ctx, port, simulator_.now(),
-                                            std::move(*held));
-    dispatch_outputs(ctx, std::move(outputs), /*prefer_burst=*/true);
-  });
-}
-
-void NfInstance::dispatch_outputs(nnf::ContextId ctx,
-                                  std::vector<nnf::NfOutput>&& outputs,
-                                  bool prefer_burst) {
-  // Either wiring alone is enough for both inject paths: the burst path
-  // prefers the burst egress (regrouped per output port, same-port order
-  // preserved) and the single path prefers per-frame egress (no batch
-  // allocation per packet) — each falls back to the other.
-  auto egress = egress_.find(ctx);
-  auto burst_egress = burst_egress_.find(ctx);
-  const bool use_burst =
-      burst_egress != burst_egress_.end() &&
-      (prefer_burst || egress == egress_.end());
-  if (use_burst) {
-    packet::BurstGroups<nnf::NfPortIndex> groups;
-    for (nnf::NfOutput& output : outputs) {
-      groups.add(output.port, std::move(output.frame));
-    }
-    for (auto& [gp, g] : groups) burst_egress->second(gp, std::move(g));
-    return;
-  }
-  if (egress == egress_.end()) return;
-  for (nnf::NfOutput& output : outputs) {
-    egress->second(output.port, std::move(output.frame));
-  }
-}
-
-void NfInstance::inject_custom(std::size_t bytes,
-                               std::function<void()> handler) {
-  if (state_ != InstanceState::kRunning) {
-    ++dropped_not_running_;
-    return;
-  }
-  station_.submit(cost_.service_time(bytes), std::move(handler));
-}
-
-void NfInstance::inject_custom_burst(
-    packet::PacketBurst&& burst,
-    std::function<void(packet::PacketBurst&&)> handler) {
+template <typename Handler>
+void NfInstance::submit(packet::PacketBurst&& burst, Handler handler) {
   if (state_ != InstanceState::kRunning) {
     dropped_not_running_ += burst.size();
     return;
@@ -122,6 +50,33 @@ void NfInstance::inject_custom_burst(
   station_.submit(service, [handler = std::move(handler), held]() {
     handler(std::move(*held));
   });
+}
+
+void NfInstance::inject(nnf::ContextId ctx, nnf::NfPortIndex port,
+                        packet::PacketBuffer&& frame) {
+  inject_burst(ctx, port, packet::burst_of(std::move(frame)));
+}
+
+void NfInstance::inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
+                              packet::PacketBurst&& burst) {
+  submit(std::move(burst), [this, ctx, port](packet::PacketBurst&& held) {
+    auto outputs = function_->process_burst(ctx, port, simulator_.now(),
+                                            std::move(held));
+    auto egress = egress_.find(ctx);
+    if (egress == egress_.end()) return;
+    // Regrouped per output port, same-port order preserved.
+    packet::BurstGroups<nnf::NfPortIndex> groups;
+    for (nnf::NfOutput& output : outputs) {
+      groups.add(output.port, std::move(output.frame));
+    }
+    for (auto& [gp, g] : groups) egress->second(gp, std::move(g));
+  });
+}
+
+void NfInstance::inject_custom_burst(
+    packet::PacketBurst&& burst,
+    std::function<void(packet::PacketBurst&&)> handler) {
+  submit(std::move(burst), std::move(handler));
 }
 
 util::Status NfInstance::start() {

@@ -24,10 +24,8 @@ std::string_view instance_state_name(InstanceState state);
 
 class NfInstance {
  public:
-  /// Where processed frames go, per context: (out_port, frame).
-  using Egress =
-      std::function<void(nnf::NfPortIndex, packet::PacketBuffer&&)>;
-  /// Burst egress: all frames leaving one logical port in one call.
+  /// Where processed frames go, per context: all frames one function call
+  /// emits on one logical port, in one call.
   using BurstEgress =
       std::function<void(nnf::NfPortIndex, packet::PacketBurst&&)>;
 
@@ -46,33 +44,26 @@ class NfInstance {
     return *function_;
   }
 
-  void set_egress(nnf::ContextId ctx, Egress egress);
-  /// Optional: when set, burst outputs leave grouped per port.
   void set_burst_egress(nnf::ContextId ctx, BurstEgress egress);
   void clear_egress(nnf::ContextId ctx);
 
-  /// Datapath entry: frame arrives at logical `port` of context `ctx`.
-  /// Queues for the backend-dependent service time, then runs the function
-  /// and dispatches its outputs through the context's egress. Running
-  /// instances only; otherwise the frame is dropped.
-  void inject(nnf::ContextId ctx, nnf::NfPortIndex port,
-              packet::PacketBuffer&& frame);
-
-  /// Burst datapath entry: the whole burst is one service-station item
-  /// whose service time is the sum of the per-frame times — the function
-  /// runs once per burst (one event, one virtual dispatch) instead of once
-  /// per frame.
+  /// Datapath entry: a burst arrives at logical `port` of context `ctx`.
+  /// The whole burst is one service-station item whose service time is
+  /// the sum of the per-frame times; after it, the function runs once
+  /// (process_burst) and its outputs leave through the context's egress,
+  /// grouped per output port. Running instances only; otherwise the
+  /// burst is dropped.
   void inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
                     packet::PacketBurst&& burst);
 
-  /// Datapath entry for adaptation-layer deployments: after the service
-  /// delay, `handler` runs instead of the direct process+egress path.
-  void inject_custom(std::size_t bytes, std::function<void()> handler);
+  /// Burst-of-1 wrapper over inject_burst.
+  void inject(nnf::ContextId ctx, nnf::NfPortIndex port,
+              packet::PacketBuffer&& frame);
 
-  /// Burst variant of inject_custom: the whole burst is one service-station
-  /// item (service time = sum of per-frame times, matching inject_burst)
-  /// and `handler` receives it back after the delay — the adaptation layer
-  /// then demultiplexes the burst in one pass.
+  /// Datapath entry for adaptation-layer deployments: same service-station
+  /// item as inject_burst, but after the delay `handler` receives the
+  /// burst back instead of the function — the adaptation layer then
+  /// demultiplexes it in one pass.
   void inject_custom_burst(packet::PacketBurst&& burst,
                            std::function<void(packet::PacketBurst&&)> handler);
 
@@ -89,12 +80,10 @@ class NfInstance {
   }
 
  private:
-  /// Routes processed frames out — shared by inject() and inject_burst().
-  /// prefer_burst selects the burst egress when both wirings exist; each
-  /// path falls back to the other when only one is wired.
-  void dispatch_outputs(nnf::ContextId ctx,
-                        std::vector<nnf::NfOutput>&& outputs,
-                        bool prefer_burst);
+  /// Queues `burst` for its summed service time, then runs
+  /// `handler(PacketBurst&&)` on it.
+  template <typename Handler>
+  void submit(packet::PacketBurst&& burst, Handler handler);
 
   InstanceId id_;
   std::string name_;
@@ -102,8 +91,7 @@ class NfInstance {
   virt::CostModel cost_;
   sim::Simulator& simulator_;
   sim::ServiceStation station_;
-  std::map<nnf::ContextId, Egress> egress_;
-  std::map<nnf::ContextId, BurstEgress> burst_egress_;
+  std::map<nnf::ContextId, BurstEgress> egress_;
   InstanceState state_ = InstanceState::kCreated;
   std::uint64_t dropped_not_running_ = 0;
 };

@@ -8,26 +8,6 @@ namespace nnfv::compute {
 using util::Result;
 using util::Status;
 
-namespace {
-
-/// Resolves an adaptation-egress frame to its destination (LSI, port) by
-/// its mark and strips the mark; nullopt when untagged or unrouted. Shared
-/// by the per-frame and burst egress paths so their routing cannot drift.
-std::optional<std::pair<nfswitch::Lsi*, nfswitch::PortId>>
-route_adaptation_egress(
-    const std::map<nnf::Mark, std::pair<nfswitch::Lsi*, nfswitch::PortId>>&
-        routes,
-    packet::PacketBuffer& frame) {
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth || !eth->vlan.has_value()) return std::nullopt;
-  auto route = routes.find(*eth->vlan);
-  if (route == routes.end()) return std::nullopt;
-  packet::set_vlan(frame, std::nullopt);
-  return route->second;
-}
-
-}  // namespace
-
 NativeDriver::NativeDriver(NativeDriverEnv env) : env_(env) {}
 
 bool NativeDriver::can_deploy(const std::string& functional_type) const {
@@ -94,24 +74,21 @@ Result<std::shared_ptr<NativeDriver::Shared>> NativeDriver::create_instance(
   if (desc.single_interface) {
     shared->adaptation =
         std::make_unique<nnf::AdaptationLayer>(shared->instance->function());
-    // Egress: frames leave the adaptation layer re-marked; route on the
-    // mark, strip it, and hand the frame back to the right LSI port.
+    // Egress: frames leave the adaptation layer re-marked; route each on
+    // its mark, strip the mark, and re-enter each destination LSI port's
+    // pipeline with one receive_burst.
     Shared* raw = shared.get();
-    shared->adaptation->set_transmit([raw](packet::PacketBuffer&& frame) {
-      if (auto dest = route_adaptation_egress(raw->routes, frame)) {
-        dest->first->receive(dest->second, std::move(frame));
-      }
-    });
-    // Burst egress: re-enter each LSI port's pipeline with one
-    // receive_burst per destination.
     shared->adaptation->set_burst_transmit(
         [raw](packet::PacketBurst&& burst) {
           packet::BurstGroups<std::pair<nfswitch::Lsi*, nfswitch::PortId>>
               groups;
           for (packet::PacketBuffer& frame : burst) {
-            if (auto dest = route_adaptation_egress(raw->routes, frame)) {
-              groups.add(*dest, std::move(frame));
-            }
+            auto eth = packet::parse_ethernet(frame.data());
+            if (!eth || !eth->vlan.has_value()) continue;
+            auto route = raw->routes.find(*eth->vlan);
+            if (route == raw->routes.end()) continue;
+            packet::set_vlan(frame, std::nullopt);
+            groups.add(route->second, std::move(frame));
           }
           for (auto& [destination, group] : groups) {
             destination.first->receive_burst(destination.second,
@@ -271,27 +248,13 @@ Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
       }
       shared->routes[mark.value()] = {&lsi, port.value()};
 
-      // Switch -> NNF: tag with the mark, pay the service time, then let
-      // the adaptation layer demultiplex.
+      // Switch -> NNF: tag every frame with this port's mark, pay one
+      // service-station event for the whole vector, then let the
+      // adaptation layer demultiplex the burst in one pass.
       auto instance = shared->instance;
       Shared* raw = shared.get();
       sim::Simulator* simulator = env_.simulator;
       const nnf::Mark mark_value = mark.value();
-      (void)lsi.set_port_peer(
-          port.value(),
-          [instance, raw, simulator, mark_value](
-              packet::PacketBuffer&& frame) {
-            packet::set_vlan(frame, mark_value);
-            const std::size_t bytes = frame.size();
-            auto held =
-                std::make_shared<packet::PacketBuffer>(std::move(frame));
-            instance->inject_custom(bytes, [raw, simulator, held]() {
-              raw->adaptation->receive(simulator->now(), std::move(*held));
-            });
-          });
-      // Burst variant: tag every frame with this port's mark, pay one
-      // service-station event for the whole vector, then let the
-      // adaptation layer demultiplex the burst in one pass.
       (void)lsi.set_port_burst_peer(
           port.value(),
           [instance, raw, simulator, mark_value](
@@ -307,15 +270,10 @@ Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
                 });
           });
     } else {
-      // Dedicated attachment per port, like any VNF. The burst peer keeps
-      // a classified burst together: one service-station event for the
-      // whole vector.
+      // Dedicated attachment per port, like any VNF: a classified burst
+      // stays together, one service-station event for the whole vector.
       auto instance = shared->instance;
       const nnf::ContextId ctx = dep.ctx;
-      (void)lsi.set_port_peer(
-          port.value(), [instance, ctx, p](packet::PacketBuffer&& frame) {
-            instance->inject(ctx, p, std::move(frame));
-          });
       (void)lsi.set_port_burst_peer(
           port.value(), [instance, ctx, p](packet::PacketBurst&& burst) {
             instance->inject_burst(ctx, p, std::move(burst));
@@ -326,13 +284,6 @@ Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
   if (!desc.single_interface) {
     std::vector<nfswitch::PortId> port_map = dep.lsi_ports;
     nfswitch::Lsi* lsi_ptr = &lsi;
-    shared->instance->set_egress(
-        dep.ctx, [lsi_ptr, port_map](nnf::NfPortIndex out_port,
-                                     packet::PacketBuffer&& frame) {
-          if (out_port < port_map.size()) {
-            lsi_ptr->receive(port_map[out_port], std::move(frame));
-          }
-        });
     shared->instance->set_burst_egress(
         dep.ctx, [lsi_ptr, port_map](nnf::NfPortIndex out_port,
                                      packet::PacketBurst&& burst) {

@@ -89,12 +89,7 @@ UniversalNode::UniversalNode(UniversalNodeConfig config)
 
 util::Status UniversalNode::inject(const std::string& port,
                                    packet::PacketBuffer&& frame) {
-  if (executor_ != nullptr) {
-    packet::PacketBurst burst;
-    burst.push_back(std::move(frame));
-    return inject_burst(port, std::move(burst));
-  }
-  return network_.inject(port, std::move(frame));
+  return inject_burst(port, packet::burst_of(std::move(frame)));
 }
 
 util::Status UniversalNode::inject_burst(const std::string& port,

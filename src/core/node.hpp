@@ -83,7 +83,9 @@ class UniversalNode {
   ResourceManager& resources() { return resources_; }
   VnfRepository& repository() { return repository_; }
 
-  /// External-world helpers (traffic sources/sinks attach here).
+  /// External-world helpers (traffic sources/sinks attach here). The
+  /// datapath is burst-shaped: inject() is a burst of one, and set_egress
+  /// adapts a per-frame sink onto the port's burst peer.
   util::Status inject(const std::string& port, packet::PacketBuffer&& frame);
   util::Status inject_burst(const std::string& port,
                             packet::PacketBurst&& burst);

@@ -221,6 +221,9 @@ std::size_t DatapathExecutor::drain_ring(WorkerContext& ctx,
     pipeline_(ctx, items[begin].tag, std::move(group));
     begin = end;
   }
+  // Counted before the release below, so a drain() that observes
+  // inflight_ == 0 also observes the count.
+  workers_[ctx.index()]->stats.processed += processed;
   inflight_.fetch_sub(processed, std::memory_order_release);
   return processed;
 }
@@ -272,9 +275,7 @@ void DatapathExecutor::run_worker(std::size_t index,
       });
       if (superseded()) break;
     }
-    const std::size_t processed = drain_all();
-    if (processed > 0) {
-      self.stats.processed += processed;
+    if (drain_all() > 0) {
       idle_spins = 0;
       continue;
     }
@@ -304,11 +305,8 @@ void DatapathExecutor::run_worker(std::size_t index,
   }
   if (superseded()) return;  // the new generation owns the rings
   // Final drain so stop() never strands frames in rings.
-  std::size_t processed;
-  do {
-    processed = drain_all();
-    self.stats.processed += processed;
-  } while (processed > 0);
+  while (drain_all() > 0) {
+  }
 }
 
 void DatapathExecutor::note_stall(std::size_t worker) {

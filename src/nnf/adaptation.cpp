@@ -34,41 +34,6 @@ std::size_t AdaptationLayer::unbind_context(ContextId ctx) {
   return removed;
 }
 
-bool AdaptationLayer::remark_output(ContextId ctx, NfOutput& output) {
-  auto out_mark = by_path_.find({ctx, output.port});
-  if (out_mark == by_path_.end()) {
-    ++stats_.unmapped_out;
-    return false;
-  }
-  packet::set_vlan(output.frame, out_mark->second);
-  ++stats_.out_frames;
-  return true;
-}
-
-void AdaptationLayer::receive(sim::SimTime now,
-                              packet::PacketBuffer&& frame) {
-  ++stats_.in_frames;
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth || !eth->vlan.has_value()) {
-    ++stats_.untagged;
-    return;
-  }
-  auto binding = by_mark_.find(*eth->vlan);
-  if (binding == by_mark_.end()) {
-    ++stats_.unmapped_in;
-    return;
-  }
-  const auto [ctx, port] = binding->second;
-  packet::set_vlan(frame, std::nullopt);  // present the NF untagged traffic
-
-  std::vector<NfOutput> outputs = nf_.process(ctx, port, now,
-                                              std::move(frame));
-  for (NfOutput& output : outputs) {
-    if (!remark_output(ctx, output)) continue;
-    if (tx_) tx_(std::move(output.frame));
-  }
-}
-
 void AdaptationLayer::receive_burst(sim::SimTime now,
                                     packet::PacketBurst&& burst) {
   stats_.in_frames += burst.size();
@@ -93,19 +58,22 @@ void AdaptationLayer::receive_burst(sim::SimTime now,
   burst.clear();
 
   // One process_burst per path; outputs of the whole ingress burst leave
-  // as one re-marked egress burst (or per frame without a burst transmit).
+  // as one egress burst, each re-marked with its (context, output port)
+  // mark so the switch can steer it back into the right graph.
   packet::PacketBurst egress;
   for (auto& [path, group] : groups) {
-    const auto [ctx, port] = path;
+    const ContextId ctx = path.first;
     std::vector<NfOutput> outputs =
-        nf_.process_burst(ctx, port, now, std::move(group));
+        nf_.process_burst(ctx, path.second, now, std::move(group));
     for (NfOutput& output : outputs) {
-      if (!remark_output(ctx, output)) continue;
-      if (burst_tx_) {
-        egress.push_back(std::move(output.frame));
-      } else if (tx_) {
-        tx_(std::move(output.frame));
+      auto out_mark = by_path_.find({ctx, output.port});
+      if (out_mark == by_path_.end()) {
+        ++stats_.unmapped_out;
+        continue;
       }
+      packet::set_vlan(output.frame, out_mark->second);
+      ++stats_.out_frames;
+      egress.push_back(std::move(output.frame));
     }
   }
   if (burst_tx_ && !egress.empty()) burst_tx_(std::move(egress));

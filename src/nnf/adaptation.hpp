@@ -30,17 +30,13 @@ struct AdaptationStats {
 
 class AdaptationLayer {
  public:
-  /// Transmit function toward the switch port this layer is attached to.
-  using Transmit = std::function<void(packet::PacketBuffer&&)>;
-  /// Burst-capable transmit: every (re-marked) frame the layer emits for
-  /// one ingress burst leaves in a single call, preserving order.
+  /// Transmit toward the switch port this layer is attached to: every
+  /// (re-marked) frame the layer emits for one ingress burst leaves in a
+  /// single call, preserving order.
   using BurstTransmit = std::function<void(packet::PacketBurst&&)>;
 
   explicit AdaptationLayer(NetworkFunction& nf) : nf_(nf) {}
 
-  void set_transmit(Transmit tx) { tx_ = std::move(tx); }
-  /// Preferred by receive_burst when set; receive() keeps using the
-  /// per-frame transmit.
   void set_burst_transmit(BurstTransmit tx) { burst_tx_ = std::move(tx); }
 
   /// Binds `mark` to (ctx, port) in both directions.
@@ -51,12 +47,10 @@ class AdaptationLayer {
 
   [[nodiscard]] std::size_t binding_count() const { return by_mark_.size(); }
 
-  /// Frame arriving from the switch (must carry a bound mark).
-  void receive(sim::SimTime now, packet::PacketBuffer&& frame);
-
-  /// Burst arriving from the switch. Frames are demultiplexed on their
-  /// marks and regrouped per (context, port) — order within a group is
-  /// preserved — then each group is ONE process_burst call into the NF,
+  /// Burst arriving from the switch (a single frame is a burst of one);
+  /// every frame must carry a bound mark. Frames are demultiplexed on
+  /// their marks and regrouped per (context, port) — order within a group
+  /// is preserved — then each group is ONE process_burst call into the NF,
   /// so a single-interface NNF gets the same per-burst amortisation as a
   /// dedicated attachment. Per-packet NF subclasses are unaffected: the
   /// NetworkFunction::process_burst shim unrolls to N process() calls.
@@ -65,12 +59,7 @@ class AdaptationLayer {
   [[nodiscard]] const AdaptationStats& stats() const { return stats_; }
 
  private:
-  /// Re-marks one NF output with the mark of (ctx, port); returns false
-  /// (and counts unmapped_out) when no mark is bound.
-  bool remark_output(ContextId ctx, NfOutput& output);
-
   NetworkFunction& nf_;
-  Transmit tx_;
   BurstTransmit burst_tx_;
   std::map<Mark, std::pair<ContextId, NfPortIndex>> by_mark_;
   std::map<std::pair<ContextId, NfPortIndex>, Mark> by_path_;

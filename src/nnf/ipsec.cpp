@@ -315,7 +315,7 @@ util::Status IpsecEndpoint::configure(ContextId ctx, const NfConfig& config) {
   }
   // Key-schedule work that must not happen per packet: the AES schedule
   // and GCM GHASH table are expanded here once, and the HMAC ipad is
-  // absorbed once; the per-packet paths only copy midstates. Both
+  // absorbed once; the datapath only copies midstates. Both
   // transforms' state is kept ready so esp_transform can be flipped by a
   // later configure() without re-sending keys (config keys arrive in map
   // order, so esp_transform may follow enc_key).
@@ -517,78 +517,6 @@ bool IpsecEndpoint::fast_path_ok(const Tunnel& tunnel, NfPortIndex in_port,
   return true;
 }
 
-std::vector<NfOutput> IpsecEndpoint::process(ContextId ctx,
-                                             NfPortIndex in_port,
-                                             sim::SimTime now,
-                                             packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  {
-    // Steady-state fast path under the shared lock: counters are
-    // atomic, the replay window is single-writer (RSS pins a SPI's
-    // ingress to one worker), and fast_path_ok guarantees no lifecycle
-    // transition can trigger for this packet.
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (!has_context(ctx) || in_port >= 2) {
-      ++stats_shard().malformed;
-      return out;
-    }
-    auto it = tunnels_.find(ctx);
-    if (it == tunnels_.end() || !it->second.configured) {
-      ++stats_shard().no_sa;
-      return out;
-    }
-    Tunnel& tunnel = it->second;
-    if (fast_path_ok(tunnel, in_port, 1)) {
-      if (in_port == 0) {
-        return tunnel.transform == EspTransform::kGcm
-                   ? encapsulate_gcm(tunnel, tunnel.out_sa, std::move(frame))
-                   : encapsulate_cbc(tunnel, tunnel.out_sa, std::move(frame));
-      }
-      return decapsulate(ctx, tunnel, std::move(frame));
-    }
-  }
-  // Lifecycle path (staged/draining generations, lifetimes, hard
-  // stops): exclusive lock, exact single-threaded semantics.
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = tunnels_.find(ctx);
-  if (it == tunnels_.end() || !it->second.configured) {
-    ++stats_shard().no_sa;
-    return out;
-  }
-  expire_draining(ctx, it->second, now);
-  if (in_port == 0) {
-    return encapsulate(ctx, it->second, now, std::move(frame));
-  }
-  return decapsulate(ctx, it->second, std::move(frame));
-}
-
-std::vector<NfOutput> IpsecEndpoint::encapsulate(
-    ContextId ctx, Tunnel& tunnel, sim::SimTime now,
-    packet::PacketBuffer&& frame) {
-  SecurityAssociation* sa = outbound_gate(ctx, tunnel, now);
-  if (sa == nullptr) return {};
-  return tunnel.transform == EspTransform::kGcm
-             ? encapsulate_gcm(tunnel, *sa, std::move(frame))
-             : encapsulate_cbc(tunnel, *sa, std::move(frame));
-}
-
-std::vector<NfOutput> IpsecEndpoint::decapsulate(
-    ContextId ctx, Tunnel& tunnel, packet::PacketBuffer&& frame) {
-  const std::size_t min_esp_payload =
-      tunnel.transform == EspTransform::kGcm
-          ? packet::kEspHeaderSize + kGcmIvSize + 2 + kGcmIcvSize
-          : packet::kEspHeaderSize + kIvSize + crypto::Aes::kBlockSize +
-                kIcvSize;
-  // Decryption happens in place over the ciphertext region, so the
-  // ingress spans must point into a privately owned segment.
-  frame.unshare();
-  auto ingress = parse_esp_ingress(ctx, tunnel, frame, min_esp_payload);
-  if (!ingress) return {};
-  return tunnel.transform == EspTransform::kGcm
-             ? decapsulate_gcm(tunnel, *ingress, std::move(frame))
-             : decapsulate_cbc(tunnel, *ingress, std::move(frame));
-}
-
 std::optional<std::span<const std::uint8_t>> IpsecEndpoint::parse_inner_ipv4(
     const packet::PacketBuffer& frame) {
   auto eth = packet::parse_ethernet(frame.data());
@@ -707,15 +635,14 @@ std::optional<IpsecEndpoint::EspIngress> IpsecEndpoint::parse_esp_ingress(
   return EspIngress{esp_area, esp_off, seq, sa, keymat};
 }
 
-std::vector<NfOutput> IpsecEndpoint::emit_inner(
-    const Tunnel& tunnel, SecurityAssociation& sa,
-    packet::PacketBuffer&& inner) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
+                               packet::PacketBuffer&& inner,
+                               std::vector<NfOutput>& out) {
   const auto plaintext = inner.data();
   if (plaintext.size() < 2) {
     ++sa.malformed;
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   const std::uint8_t next_header = plaintext.back();
   const std::uint8_t pad_len = plaintext[plaintext.size() - 2];
@@ -724,7 +651,7 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
   if (next_header != 4 || plaintext.size() < 2u + pad_len) {
     ++sa.malformed;
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   // Validate the monotonic pad bytes (cheap corruption check).
   for (std::size_t i = 0; i < pad_len; ++i) {
@@ -732,7 +659,7 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
     if (plaintext[idx] != i + 1) {
       ++sa.malformed;
       ++stats_shard().malformed;
-      return out;
+      return;
     }
   }
   // Strip the trailer and rebuild the Ethernet header in the headroom
@@ -749,16 +676,15 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
   sa.bytes += inner.size();
   ++stats_shard().decapsulated;
   out.push_back(NfOutput{0, std::move(inner)});
-  return out;
 }
 
-std::vector<NfOutput> IpsecEndpoint::encapsulate_cbc(
-    Tunnel& tunnel, SecurityAssociation& sa, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::encapsulate_cbc(Tunnel& tunnel, SecurityAssociation& sa,
+                                    packet::PacketBuffer&& frame,
+                                    std::vector<NfOutput>& out) {
   // The frame is rebuilt in place; a flooded replica goes private first.
   frame.unshare();
   auto inner = parse_inner_ipv4(frame);
-  if (!inner) return out;
+  if (!inner) return;
 
   // Claim this packet's sequence number atomically: workers sharing the
   // SA each get a unique value.
@@ -781,7 +707,7 @@ std::vector<NfOutput> IpsecEndpoint::encapsulate_cbc(
   auto ciphertext = crypto::aes_cbc_encrypt_raw(*keymat.cipher, iv, plaintext);
   if (!ciphertext) {
     ++stats_shard().malformed;
-    return out;
+    return;
   }
 
   // Reassemble Eth | outer IPv4 | ESP | IV | ciphertext | ICV into the
@@ -816,12 +742,11 @@ std::vector<NfOutput> IpsecEndpoint::encapsulate_cbc(
   sa.bytes += inner_size;
   ++stats_shard().encapsulated;
   out.push_back(NfOutput{1, std::move(frame)});
-  return out;
 }
 
-std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
-    Tunnel& tunnel, EspIngress ingress, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::decapsulate_cbc(Tunnel& tunnel, const EspIngress& ingress,
+                                    packet::PacketBuffer&& frame,
+                                    std::vector<NfOutput>& out) {
   SecurityAssociation& sa = *ingress.sa;
   Keymat& keymat = *ingress.keymat;
   auto esp_area = ingress.esp_area;
@@ -842,12 +767,12 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
                                    esp_area.subspan(auth_len, kIcvSize))) {
     ++sa.auth_fail;
     ++stats_shard().auth_failures;
-    return out;
+    return;
   }
   if (!replay_check_and_update(sa, ingress.sequence)) {
     ++sa.replay_drops;
     ++stats_shard().replay_drops;
-    return out;
+    return;
   }
 
   auto iv = esp_area.subspan(packet::kEspHeaderSize, kIvSize);
@@ -859,7 +784,7 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
   if (!plaintext) {
     ++sa.malformed;
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   // Rebuild the decrypted payload into the frame's own segment (the CBC
   // helper stages through a vector); the vacated outer-header space
@@ -867,7 +792,7 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
   frame.reset();
   auto dst = frame.push_back(plaintext->size());
   std::memcpy(dst.data(), plaintext->data(), plaintext->size());
-  return emit_inner(tunnel, sa, std::move(frame));
+  emit_inner(tunnel, sa, std::move(frame), out);
 }
 
 // RFC 4106-shaped AES-GCM ESP: Eth | outer IPv4 | ESP | IV(8) |
@@ -876,10 +801,10 @@ std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
 // from RFC 4106's plain salt||IV, needed because both directions share
 // one enc_key here (see gcm_nonce(); a conforming peer with per-SA
 // keymat would not interoperate). The AAD is the 8-byte ESP header
-// (SPI, seq).
-// Encryption and authentication happen in one in-place seal() over the
-// output buffer — no separate HMAC pass, no plaintext staging copy, and
-// both CTR and GHASH pipeline across blocks on the hardware backend.
+// (SPI, seq). Encryption and authentication happen in one in-place seal
+// over the frame's own segment — no separate HMAC pass, no plaintext
+// staging copy, and both CTR and GHASH pipeline across blocks (and, with
+// several lanes, across packets) on the hardware backends.
 bool IpsecEndpoint::encapsulate_gcm_prepare(Tunnel& tunnel,
                                             SecurityAssociation& sa,
                                             packet::PacketBuffer&& frame,
@@ -935,6 +860,7 @@ bool IpsecEndpoint::encapsulate_gcm_prepare(Tunnel& tunnel,
   // AAD: the ESP header, widened to SPI || seq-hi || seq-lo under ESN
   // (without ESN the constructed bytes equal the wire header exactly).
   prep.aad_len = esp_aad(sa, seq, prep.aad);
+  prep.sa = &sa;
   prep.ct_off = ct_off;
   prep.pt_len = pt_len;
   prep.inner_size = inner_size;
@@ -942,86 +868,70 @@ bool IpsecEndpoint::encapsulate_gcm_prepare(Tunnel& tunnel,
   return true;
 }
 
-NfOutput IpsecEndpoint::encapsulate_gcm_finish(SecurityAssociation& sa,
-                                               GcmEncapPrep&& prep) {
-  ++sa.packets;
-  sa.bytes += prep.inner_size;
-  ++stats_shard().encapsulated;
-  return NfOutput{1, std::move(prep.frame)};
-}
-
-std::vector<NfOutput> IpsecEndpoint::encapsulate_gcm(
-    Tunnel& tunnel, SecurityAssociation& sa, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  GcmEncapPrep prep;
-  if (!encapsulate_gcm_prepare(tunnel, sa, std::move(frame), prep)) {
-    return out;
-  }
-  auto buf = prep.frame.data();
-  // Encryption and authentication in one in-place seal() over the
-  // output buffer — no separate HMAC pass, no plaintext staging copy,
-  // and both CTR and GHASH pipeline across blocks on the hardware
-  // backend.
-  if (!tunnel.keymat->gcm
-           ->seal({prep.nonce, sizeof(prep.nonce)}, {prep.aad, prep.aad_len},
-                  buf.subspan(prep.ct_off, prep.pt_len),
-                  buf.data() + prep.ct_off,
-                  buf.data() + prep.ct_off + prep.pt_len)
-           .is_ok()) {
-    ++stats_shard().malformed;
-    return out;
-  }
-  out.push_back(encapsulate_gcm_finish(sa, std::move(prep)));
-  return out;
-}
-
-void IpsecEndpoint::encapsulate_gcm_burst(Tunnel& tunnel,
-                                          SecurityAssociation& sa,
-                                          packet::PacketBurst& burst,
-                                          std::vector<NfOutput>& out) {
-  // Same-SA frames become independent seal_mb lanes: each packet keeps
-  // its own nonce/AAD/sequence (claimed in frame order, so the wire is
-  // bit-identical to the serial loop), while the batched kernel
-  // interleaves their AES streams — short packets no longer serialise
-  // on AESENC latency.
+void IpsecEndpoint::encapsulate_burst(ContextId ctx, Tunnel& tunnel,
+                                      sim::SimTime now, bool lifecycle,
+                                      packet::PacketBurst& burst,
+                                      std::vector<NfOutput>& out) {
+  // GCM frames become independent seal_mb lanes: each packet keeps its
+  // own nonce/AAD/sequence (claimed in frame order), while the batched
+  // kernel interleaves their AES streams — short packets do not
+  // serialise on AESENC latency. CBC is chain-serial and runs per frame.
   constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
-  Keymat& keymat = *tunnel.keymat;
   std::size_t idx = 0;
   while (idx < burst.size()) {
     GcmEncapPrep preps[kLanes];
     crypto::GcmMbOp ops[kLanes];
     std::size_t n = 0;
     while (idx < burst.size() && n < kLanes) {
+      packet::PacketBuffer& frame = burst[idx++];
+      SecurityAssociation* sa =
+          lifecycle ? outbound_gate(ctx, tunnel, now) : &tunnel.out_sa;
+      if (sa == nullptr) continue;  // hard stop, counted by the gate
+      if (tunnel.transform == EspTransform::kCbcHmac) {
+        encapsulate_cbc(tunnel, *sa, std::move(frame), out);
+        continue;
+      }
       GcmEncapPrep& prep = preps[n];
-      if (!encapsulate_gcm_prepare(tunnel, sa, std::move(burst[idx++]),
-                                   prep)) {
+      if (!encapsulate_gcm_prepare(tunnel, *sa, std::move(frame), prep)) {
         continue;  // dropped; parse failures leave no lane behind
       }
       auto buf = prep.frame.data();
-      ops[n] = crypto::GcmMbOp{{prep.nonce, sizeof(prep.nonce)},
-                               {prep.aad, prep.aad_len},
-                               {buf.data() + prep.ct_off, prep.pt_len},
-                               buf.data() + prep.ct_off,
-                               buf.data() + prep.ct_off + prep.pt_len};
-      ++n;
+      ops[n++] = crypto::GcmMbOp{{prep.nonce, sizeof(prep.nonce)},
+                                 {prep.aad, prep.aad_len},
+                                 {buf.data() + prep.ct_off, prep.pt_len},
+                                 buf.data() + prep.ct_off,
+                                 buf.data() + prep.ct_off + prep.pt_len};
+      // The gate reads lifetime counters that only move after the seal,
+      // so on the lifecycle path every frame is a one-lane group.
+      if (lifecycle) break;
     }
     if (n == 0) continue;
-    if (!keymat.gcm->seal_mb(ops, n).is_ok()) {
+    // A cutover can only happen on the lifecycle path, before the one
+    // lane's prepare: tunnel.keymat is the lane's generation either way.
+    if (!tunnel.keymat->gcm->seal_mb(ops, n).is_ok()) {
       stats_shard().malformed += n;
       continue;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(encapsulate_gcm_finish(sa, std::move(preps[i])));
+      SecurityAssociation& sa = *preps[i].sa;
+      ++sa.packets;
+      sa.bytes += preps[i].inner_size;
+      ++stats_shard().encapsulated;
+      out.push_back(NfOutput{1, std::move(preps[i].frame)});
     }
   }
 }
 
-void IpsecEndpoint::decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
-                                          packet::PacketBurst& burst,
-                                          std::vector<NfOutput>& out) {
+void IpsecEndpoint::decapsulate_burst(ContextId ctx, Tunnel& tunnel,
+                                      bool lifecycle,
+                                      packet::PacketBurst& burst,
+                                      std::vector<NfOutput>& out) {
   constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
+  const bool gcm = tunnel.transform == EspTransform::kGcm;
   const std::size_t min_esp_payload =
-      packet::kEspHeaderSize + kGcmIvSize + 2 + kGcmIcvSize;
+      gcm ? packet::kEspHeaderSize + kGcmIvSize + 2 + kGcmIcvSize
+          : packet::kEspHeaderSize + kIvSize + crypto::Aes::kBlockSize +
+                kIcvSize;
 
   struct DecapPrep {
     packet::PacketBuffer frame;
@@ -1050,9 +960,14 @@ void IpsecEndpoint::decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
         ++idx;
         continue;  // dropped and counted by the parser
       }
-      // A batch shares one GcmContext: frames resolving to different
-      // keymat (a control SPI mid-burst) close the current group and
-      // start the next one.
+      if (!gcm) {
+        ++idx;
+        decapsulate_cbc(tunnel, *ingress, std::move(frame), out);
+        continue;
+      }
+      // A group shares one GcmContext: a frame resolving to different
+      // keymat (another SA generation mid-burst) closes the current
+      // group and starts the next one.
       if (n > 0 && ingress->keymat != preps[0].keymat) {
         burst[idx] = std::move(frame);
         break;
@@ -1065,6 +980,8 @@ void IpsecEndpoint::decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
       auto esp_area = ingress->esp_area;
       gcm_nonce(*prep.sa, prep.keymat->salt,
                 esp_area.data() + packet::kEspHeaderSize, prep.nonce);
+      // Under ESN the recovered seq-hi is bound into the AAD here — the
+      // wire never carries it.
       prep.aad_len = esp_aad(*prep.sa, prep.sequence, prep.aad);
       prep.ct_len = esp_area.size() - packet::kEspHeaderSize - kGcmIvSize -
                     kGcmIcvSize;
@@ -1073,20 +990,24 @@ void IpsecEndpoint::decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
           esp_area.subspan(packet::kEspHeaderSize + kGcmIvSize, prep.ct_len);
       auto icv = esp_area.subspan(esp_area.size() - kGcmIcvSize, kGcmIcvSize);
       prep.frame = std::move(frame);
-      ops[n] = crypto::GcmMbOp{
+      ops[n++] = crypto::GcmMbOp{
           {prep.nonce, sizeof(prep.nonce)},
           {prep.aad, prep.aad_len},
           ciphertext,
           prep.frame.data().data() + prep.pt_off,
           const_cast<std::uint8_t*>(icv.data())};
-      ++n;
+      // The group closes after this lane when the next frame's parse must
+      // see its verdict: ESN seq-hi recovery reads the replay window the
+      // lane advances, and on the lifecycle path the hard-lifetime check
+      // reads the packet counters it bumps.
+      if (lifecycle || prep.sa->esn) break;
     }
     if (n == 0) continue;
-    // Authenticate + decrypt every lane in one batched pass; forged
-    // lanes come back wiped and flagged. The ordered epilogue below then
-    // applies verdicts, replay checks and trailer stripping in frame
-    // order — the only state mutations, so semantics match the serial
-    // path packet for packet.
+    // Authenticate + decrypt every lane in one batched pass, in place over
+    // the ciphertext; forged lanes come back wiped and flagged, so nothing
+    // unauthenticated leaves. The ordered epilogue then applies verdicts,
+    // replay checks and trailer stripping in frame order — the only state
+    // mutations, so drops match a frame-by-frame run exactly.
     bool ok[kLanes];
     (void)preps[0].keymat->gcm->open_mb(ops, n, ok);
     for (std::size_t i = 0; i < n; ++i) {
@@ -1102,58 +1023,20 @@ void IpsecEndpoint::decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
         ++stats_shard().replay_drops;
         continue;
       }
+      // Decap is a pure view adjustment: the outer headers + ESP + IV
+      // become headroom, the ICV falls off the tail.
       prep.frame.pull_front(prep.pt_off);
       prep.frame.trim(prep.ct_len);
-      auto one = emit_inner(tunnel, sa, std::move(prep.frame));
-      for (NfOutput& output : one) out.push_back(std::move(output));
+      emit_inner(tunnel, sa, std::move(prep.frame), out);
     }
   }
 }
 
-std::vector<NfOutput> IpsecEndpoint::decapsulate_gcm(
-    Tunnel& tunnel, EspIngress ingress, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  SecurityAssociation& sa = *ingress.sa;
-  Keymat& keymat = *ingress.keymat;
-  auto esp_area = ingress.esp_area;
-
-  std::uint8_t nonce[crypto::GcmContext::kIvSize];
-  gcm_nonce(sa, keymat.salt, esp_area.data() + packet::kEspHeaderSize, nonce);
-
-  const std::size_t ct_len = esp_area.size() - packet::kEspHeaderSize -
-                             kGcmIvSize - kGcmIcvSize;
-  auto ciphertext =
-      esp_area.subspan(packet::kEspHeaderSize + kGcmIvSize, ct_len);
-  auto icv = esp_area.subspan(esp_area.size() - kGcmIcvSize, kGcmIcvSize);
-
-  // Authenticate (tag over SPI || [recovered seq-hi ||] seq-lo +
-  // ciphertext) and decrypt in one pass, then replay-check, then strip
-  // the trailer. Under ESN the recovered high half is bound into the
-  // AAD here — the wire never carries it.
-  std::uint8_t aad[12];
-  const std::size_t aad_len = esp_aad(sa, ingress.sequence, aad);
-  // Decrypt in place: the plaintext overwrites the ciphertext region of
-  // the frame's own segment (gcm_crypt allows in == out). On auth
-  // failure open() wipes the half-written plaintext and the frame is
-  // dropped, so nothing unauthenticated ever leaves this function.
-  const std::size_t pt_off =
-      ingress.esp_off + packet::kEspHeaderSize + kGcmIvSize;
-  if (!keymat.gcm->open({nonce, sizeof(nonce)}, {aad, aad_len}, ciphertext,
-                        icv, frame.data().data() + pt_off)) {
-    ++sa.auth_fail;
-    ++stats_shard().auth_failures;
-    return out;
-  }
-  if (!replay_check_and_update(sa, ingress.sequence)) {
-    ++sa.replay_drops;
-    ++stats_shard().replay_drops;
-    return out;
-  }
-  // Decap is a pure view adjustment: the outer headers + ESP + IV
-  // become headroom, the ICV falls off the tail.
-  frame.pull_front(pt_off);
-  frame.trim(ct_len);
-  return emit_inner(tunnel, sa, std::move(frame));
+std::vector<NfOutput> IpsecEndpoint::process(ContextId ctx,
+                                             NfPortIndex in_port,
+                                             sim::SimTime now,
+                                             packet::PacketBuffer&& frame) {
+  return process_burst(ctx, in_port, now, packet::burst_of(std::move(frame)));
 }
 
 std::vector<NfOutput> IpsecEndpoint::process_burst(
@@ -1161,10 +1044,20 @@ std::vector<NfOutput> IpsecEndpoint::process_burst(
     packet::PacketBurst&& burst) {
   std::vector<NfOutput> out;
   if (burst.empty()) return out;
+  auto run = [&](Tunnel& tunnel, bool lifecycle) {
+    out.reserve(burst.size());
+    if (in_port == 0) {
+      encapsulate_burst(ctx, tunnel, now, lifecycle, burst, out);
+    } else {
+      decapsulate_burst(ctx, tunnel, lifecycle, burst, out);
+    }
+    burst.clear();
+  };
   {
-    // Steady-state fast path for the whole burst under the shared lock;
-    // fast_path_ok is sized by the burst so no frame inside it can trip
-    // a lifecycle transition.
+    // Steady-state fast path for the whole burst under the shared lock:
+    // counters are atomic, the replay window is single-writer (RSS pins a
+    // SPI's ingress to one worker), and fast_path_ok is sized by the burst
+    // so no frame inside it can trip a lifecycle transition.
     std::shared_lock<std::shared_mutex> lock(mutex_);
     if (!has_context(ctx) || in_port >= 2) {
       stats_shard().malformed += burst.size();
@@ -1175,51 +1068,24 @@ std::vector<NfOutput> IpsecEndpoint::process_burst(
       stats_shard().no_sa += burst.size();
       return out;
     }
-    Tunnel& tunnel = it->second;
-    if (fast_path_ok(tunnel, in_port, burst.size())) {
-      out.reserve(burst.size());
-      // GCM bursts take the multi-buffer lanes: up to kMaxMbLanes
-      // same-SA frames sealed/opened per batched backend call. Batched
-      // ESN decap is skipped — seq-hi recovery reads the replay window,
-      // and a burst crossing a 2^32 boundary must see each prior
-      // packet's window update (the serial loop's semantics).
-      if (tunnel.transform == EspTransform::kGcm && in_port == 0) {
-        encapsulate_gcm_burst(tunnel, tunnel.out_sa, burst, out);
-      } else if (tunnel.transform == EspTransform::kGcm &&
-                 !tunnel.in_sa.esn) {
-        decapsulate_gcm_burst(ctx, tunnel, burst, out);
-      } else {
-        for (packet::PacketBuffer& frame : burst) {
-          auto one = in_port == 0
-                         ? encapsulate_cbc(tunnel, tunnel.out_sa,
-                                           std::move(frame))
-                         : decapsulate(ctx, tunnel, std::move(frame));
-          for (NfOutput& output : one) out.push_back(std::move(output));
-        }
-      }
-      burst.clear();
+    if (fast_path_ok(it->second, in_port, burst.size())) {
+      run(it->second, /*lifecycle=*/false);
       return out;
     }
   }
+  // Lifecycle path (staged/draining generations, lifetimes, hard stops):
+  // exclusive lock, exact frame-by-frame semantics.
   std::unique_lock<std::shared_mutex> lock(mutex_);
   auto it = tunnels_.find(ctx);
   if (it == tunnels_.end() || !it->second.configured) {
     stats_shard().no_sa += burst.size();
     return out;
   }
-  Tunnel& tunnel = it->second;
   // Burst-amortised lifecycle sweep: the drain deadline cannot re-arm
   // mid-burst (cutover inside the burst sets a deadline >= now), so one
   // check up front covers every frame.
-  expire_draining(ctx, tunnel, now);
-  out.reserve(burst.size());
-  for (packet::PacketBuffer& frame : burst) {
-    auto one = in_port == 0
-                   ? encapsulate(ctx, tunnel, now, std::move(frame))
-                   : decapsulate(ctx, tunnel, std::move(frame));
-    for (NfOutput& output : one) out.push_back(std::move(output));
-  }
-  burst.clear();
+  expire_draining(ctx, it->second, now);
+  run(it->second, /*lifecycle=*/true);
   return out;
 }
 

@@ -183,17 +183,20 @@ class IpsecEndpoint : public NetworkFunction {
   ///   outer_src_mac, outer_dst_mac, inner_src_mac, inner_dst_mac (optional)
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
-  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
-                                sim::SimTime now,
-                                packet::PacketBuffer&& frame) override;
-
-  /// Burst override: the context -> tunnel resolution (hash lookup +
-  /// configured checks), the drain-deadline sweep and the staged-cutover
-  /// check happen once for the whole burst instead of per packet; the
-  /// cached key schedules and HMAC midstate then serve every frame.
+  /// The datapath: the context -> tunnel resolution (hash lookup +
+  /// configured checks), the lock choice and the drain-deadline sweep
+  /// happen once per burst; then one encapsulation routine (port 0) or
+  /// one decapsulation routine (port 1) runs every frame, GCM frames as
+  /// multi-buffer lanes. The cached key schedules and HMAC midstate serve
+  /// every frame.
   std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
                                       sim::SimTime now,
                                       packet::PacketBurst&& burst) override;
+
+  /// Per-frame edge: a burst-of-1 call to process_burst.
+  std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
+                                sim::SimTime now,
+                                packet::PacketBuffer&& frame) override;
 
   util::Status remove_context(ContextId ctx) override;
 
@@ -296,7 +299,7 @@ class IpsecEndpoint : public NetworkFunction {
 
   // --- lifecycle ------------------------------------------------------
   /// Retires the draining SA once its deadline passed; called once per
-  /// process()/process_burst() entry.
+  /// process_burst() on the lifecycle path.
   void expire_draining(ContextId ctx, Tunnel& tunnel, sim::SimTime now);
   /// Atomically switches outbound to the staged generation and moves the
   /// superseded inbound SA into draining.
@@ -307,13 +310,6 @@ class IpsecEndpoint : public NetworkFunction {
   /// outbound SA to use.
   SecurityAssociation* outbound_gate(ContextId ctx, Tunnel& tunnel,
                                      sim::SimTime now);
-
-  // encapsulate/decapsulate dispatch on the tunnel's transform.
-  std::vector<NfOutput> encapsulate(ContextId ctx, Tunnel& tunnel,
-                                    sim::SimTime now,
-                                    packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate(ContextId ctx, Tunnel& tunnel,
-                                    packet::PacketBuffer&& frame);
 
   /// Shared encap prologue: validates the red-side frame as
   /// Ethernet+IPv4 and returns the inner IP packet (trimmed to its
@@ -341,8 +337,8 @@ class IpsecEndpoint : public NetworkFunction {
   /// returns nullopt on failure. `sequence` is the full 64-bit sequence:
   /// under ESN the high half is recovered from the replay window
   /// (RFC 4304 Appendix A) exactly once here and reused for the AAD/ICV
-  /// input and the replay update — on both the single-packet and burst
-  /// paths. Every size check happens before any state mutation.
+  /// input and the replay update. Every size check happens before any
+  /// state mutation.
   struct EspIngress {
     std::span<const std::uint8_t> esp_area;
     std::size_t esp_off = 0;  ///< offset of esp_area within the frame
@@ -359,25 +355,21 @@ class IpsecEndpoint : public NetworkFunction {
   /// pooled segment. Validates + strips the trailer (pad bytes
   /// 1..pad_len, next_header IPv4, pad_len bounded by the payload) with
   /// trim(), then rebuilds the red-side Ethernet header in the headroom
-  /// the stripped outer headers left behind — no copy. Counts
-  /// `malformed` (endpoint + per-SA) and returns an empty vector on
-  /// failure.
-  std::vector<NfOutput> emit_inner(const Tunnel& tunnel,
-                                   SecurityAssociation& sa,
-                                   packet::PacketBuffer&& inner);
+  /// the stripped outer headers left behind — no copy — and appends it
+  /// to `out`. Counts `malformed` (endpoint + per-SA) on failure.
+  void emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
+                  packet::PacketBuffer&& inner, std::vector<NfOutput>& out);
 
   static constexpr std::size_t kEspOffset =
       packet::kEthernetHeaderSize + packet::kIpv4MinHeaderSize;
-  std::vector<NfOutput> encapsulate_cbc(Tunnel& tunnel,
-                                        SecurityAssociation& sa,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate_cbc(Tunnel& tunnel, EspIngress ingress,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> encapsulate_gcm(Tunnel& tunnel,
-                                        SecurityAssociation& sa,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate_gcm(Tunnel& tunnel, EspIngress ingress,
-                                        packet::PacketBuffer&& frame);
+  /// CBC-HMAC transform, one frame (CBC encryption is chain-serial);
+  /// appends the result to `out`.
+  void encapsulate_cbc(Tunnel& tunnel, SecurityAssociation& sa,
+                       packet::PacketBuffer&& frame,
+                       std::vector<NfOutput>& out);
+  void decapsulate_cbc(Tunnel& tunnel, const EspIngress& ingress,
+                       packet::PacketBuffer&& frame,
+                       std::vector<NfOutput>& out);
 
   /// A GCM encapsulation carried up to (but excluding) the seal: the
   /// frame rebuilt in place (outer headers, ESP header/IV, trailer, ICV
@@ -386,6 +378,7 @@ class IpsecEndpoint : public NetworkFunction {
   /// valid while a burst's preps queue up as seal_mb lanes.
   struct GcmEncapPrep {
     packet::PacketBuffer frame;
+    SecurityAssociation* sa = nullptr;
     std::size_t ct_off = 0;
     std::size_t pt_len = 0;
     std::size_t inner_size = 0;
@@ -394,32 +387,33 @@ class IpsecEndpoint : public NetworkFunction {
     std::size_t aad_len = 0;
   };
 
-  /// First half of encapsulate_gcm (sequence claim, header/trailer
-  /// rebuild, nonce/AAD derivation). Returns false — frame dropped and
-  /// counted — when the inner packet does not parse.
+  /// Sequence claim, header/trailer rebuild and nonce/AAD derivation
+  /// for one GCM lane. Returns false — frame dropped and counted — when
+  /// the inner packet does not parse.
   bool encapsulate_gcm_prepare(Tunnel& tunnel, SecurityAssociation& sa,
                                packet::PacketBuffer&& frame,
                                GcmEncapPrep& prep);
-  /// Second half: per-packet counters + output emission after the seal.
-  NfOutput encapsulate_gcm_finish(SecurityAssociation& sa,
-                                  GcmEncapPrep&& prep);
 
-  /// Fast-path burst encapsulation: same-SA frames gathered into groups
-  /// of up to crypto::CryptoBackend::kMaxMbLanes independent lanes and
-  /// sealed through GcmContext::seal_mb — bit-identical to the serial
-  /// loop (sequence numbers are claimed in frame order), but the AES and
-  /// GHASH work of short packets interleaves across the burst.
-  void encapsulate_gcm_burst(Tunnel& tunnel, SecurityAssociation& sa,
-                             packet::PacketBurst& burst,
-                             std::vector<NfOutput>& out);
-  /// Fast-path burst decapsulation: consecutive frames resolving to the
-  /// same keymat authenticate + decrypt as open_mb lanes; verdicts,
-  /// replay checks and inner emission then run in frame order, so drop
-  /// semantics match the serial path exactly (auth is pure crypto and
-  /// replay state only advances in the ordered epilogue).
-  void decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
-                             packet::PacketBurst& burst,
-                             std::vector<NfOutput>& out);
+  /// The one encapsulation routine. GCM frames are gathered into groups
+  /// of up to crypto::CryptoBackend::kMaxMbLanes lanes and sealed through
+  /// GcmContext::seal_mb, sequence numbers claimed in frame order; CBC
+  /// frames run one by one inside the same loop. With `lifecycle` set
+  /// (exclusive lock) every frame first passes outbound_gate and is
+  /// sealed as a one-lane group, because the lifetime counters the gate
+  /// reads only move after the seal.
+  void encapsulate_burst(ContextId ctx, Tunnel& tunnel, sim::SimTime now,
+                         bool lifecycle, packet::PacketBurst& burst,
+                         std::vector<NfOutput>& out);
+  /// The one decapsulation routine. Consecutive GCM frames resolving to
+  /// the same keymat authenticate + decrypt as open_mb lanes; verdicts,
+  /// replay checks and inner emission then run in frame order, so drops
+  /// match a frame-by-frame run exactly. A group closes after each frame
+  /// under ESN (seq-hi recovery reads the replay window) and on the
+  /// lifecycle path (the hard-lifetime check reads the packet counters);
+  /// CBC frames run one by one inside the same loop.
+  void decapsulate_burst(ContextId ctx, Tunnel& tunnel, bool lifecycle,
+                         packet::PacketBurst& burst,
+                         std::vector<NfOutput>& out);
 
   /// Applies the staged-rekey config keys collected by configure().
   util::Status stage_rekey(ContextId ctx, Tunnel& tunnel,
@@ -438,7 +432,7 @@ class IpsecEndpoint : public NetworkFunction {
   /// conditions the datapath runs under a shared lock — counters are
   /// atomic, replay windows are single-writer by RSS — and anything
   /// else retries under the exclusive lock with the exact
-  /// single-threaded lifecycle semantics.
+  /// frame-by-frame lifecycle semantics.
   [[nodiscard]] static bool fast_path_ok(const Tunnel& tunnel,
                                          NfPortIndex in_port,
                                          std::size_t frames);

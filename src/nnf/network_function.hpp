@@ -67,9 +67,10 @@ class NetworkFunction {
                                         sim::SimTime now,
                                         packet::PacketBuffer&& frame) = 0;
 
-  /// Processes a whole burst arriving on one port. The default shim calls
-  /// process() per frame, so single-packet subclasses work unchanged;
-  /// functions with per-burst amortisable state may override.
+  /// Processes a whole burst arriving on one port — the only entry the
+  /// datapath calls. The default shim calls process() per frame, so
+  /// single-packet subclasses work unchanged; functions with per-burst
+  /// amortisable state override.
   virtual std::vector<NfOutput> process_burst(ContextId ctx,
                                               NfPortIndex in_port,
                                               sim::SimTime now,

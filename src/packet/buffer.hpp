@@ -201,4 +201,12 @@ class BurstGroups {
   std::vector<std::pair<Port, PacketBurst>> groups_;
 };
 
+/// A burst of one: how the per-frame edges of the burst-shaped datapath
+/// enter it.
+inline PacketBurst burst_of(PacketBuffer&& frame) {
+  PacketBurst burst;
+  burst.push_back(std::move(frame));
+  return burst;
+}
+
 }  // namespace nnfv::packet

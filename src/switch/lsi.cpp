@@ -14,7 +14,7 @@ util::Result<PortId> Lsi::add_port(const std::string& name) {
     }
   }
   const PortId pid = next_port_++;
-  ports_[pid] = Port{name, nullptr, nullptr, {}};
+  ports_[pid] = Port{name, nullptr, {}};
   return pid;
 }
 
@@ -26,7 +26,7 @@ util::Status Lsi::remove_port(PortId port) {
   return util::Status::ok();
 }
 
-util::Status Lsi::set_port_peer(PortId port, PortPeer peer) {
+util::Status Lsi::set_port_burst_peer(PortId port, BurstPeer peer) {
   auto it = ports_.find(port);
   if (it == ports_.end()) {
     return util::not_found("port " + std::to_string(port) + " on LSI " +
@@ -36,14 +36,11 @@ util::Status Lsi::set_port_peer(PortId port, PortPeer peer) {
   return util::Status::ok();
 }
 
-util::Status Lsi::set_port_burst_peer(PortId port, BurstPeer peer) {
-  auto it = ports_.find(port);
-  if (it == ports_.end()) {
-    return util::not_found("port " + std::to_string(port) + " on LSI " +
-                           name_);
-  }
-  it->second.burst_peer = std::move(peer);
-  return util::Status::ok();
+util::Status Lsi::set_port_peer(PortId port, PortPeer peer) {
+  return set_port_burst_peer(
+      port, [peer = std::move(peer)](packet::PacketBurst&& burst) {
+        for (packet::PacketBuffer& frame : burst) peer(std::move(frame));
+      });
 }
 
 bool Lsi::has_port(PortId port) const { return ports_.contains(port); }
@@ -70,9 +67,7 @@ const PortStats* Lsi::port_stats(PortId port) const {
 void Lsi::receive(PortId port, packet::PacketBuffer&& frame) {
   // Burst-of-1 over the one packet-ingress contract: classification,
   // replication and egress grouping live in receive_burst only.
-  packet::PacketBurst single;
-  single.push_back(std::move(frame));
-  receive_burst(port, std::move(single));
+  receive_burst(port, packet::burst_of(std::move(frame)));
 }
 
 void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
@@ -125,26 +120,6 @@ void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
   for (auto& [p, group] : out) transmit_burst(p, std::move(group));
 }
 
-void Lsi::transmit(PortId port, packet::PacketBuffer&& frame) {
-  auto it = ports_.find(port);
-  if (it == ports_.end()) return;
-  it->second.stats.tx_packets += 1;
-  it->second.stats.tx_bytes += frame.size();
-  if (it->second.peer) {
-    it->second.peer(std::move(frame));
-    return;
-  }
-  // Symmetric fallback: a port wired only for bursts still delivers
-  // single frames (controller packet-out, non-burst pipeline).
-  if (it->second.burst_peer) {
-    packet::PacketBurst single;
-    single.push_back(std::move(frame));
-    it->second.burst_peer(std::move(single));
-    return;
-  }
-  it->second.stats.tx_no_peer += 1;
-}
-
 void Lsi::transmit_burst(PortId port, packet::PacketBurst&& burst) {
   if (burst.empty()) return;
   auto it = ports_.find(port);
@@ -154,15 +129,11 @@ void Lsi::transmit_burst(PortId port, packet::PacketBurst&& burst) {
   for (const packet::PacketBuffer& frame : burst) {
     p.stats.tx_bytes += frame.size();
   }
-  if (p.burst_peer) {
-    p.burst_peer(std::move(burst));
-    return;
-  }
   if (!p.peer) {
     p.stats.tx_no_peer += burst.size();
     return;
   }
-  for (packet::PacketBuffer& frame : burst) p.peer(std::move(frame));
+  p.peer(std::move(burst));
 }
 
 }  // namespace nnfv::nfswitch

@@ -2,10 +2,11 @@
 // Universal Node architecture, plus the base LSI-0 that classifies node
 // ingress traffic.
 //
-// An LSI owns named ports; each port's peer is a callback (an NF instance,
-// a virtual link to another LSI, or a physical-port model). Forwarding is
-// a flow-table lookup followed by action application. Table misses go to
-// the LSI's controller, mirroring the per-LSI OpenFlow controller of the
+// An LSI owns named ports; each port's peer is one burst callback (an NF
+// instance, a virtual link to another LSI, or a physical-port model).
+// Forwarding is a flow-table lookup followed by action application, always
+// over a burst (a single frame is a burst of one). Table misses go to the
+// LSI's controller, mirroring the per-LSI OpenFlow controller of the
 // paper's Figure 1.
 #pragma once
 
@@ -54,10 +55,12 @@ struct PortStats {
 
 class Lsi {
  public:
-  /// Receiver for frames leaving the switch through a port.
-  using PortPeer = std::function<void(packet::PacketBuffer&&)>;
-  /// Burst-capable receiver; preferred by transmit_burst when set.
+  /// Receiver for the frames leaving the switch through a port: every
+  /// transmit hands it the port's whole egress group in one call.
   using BurstPeer = std::function<void(packet::PacketBurst&&)>;
+  /// Per-frame receiver, accepted at the public edge only (egress sinks
+  /// of tests, examples and benchmarks); set_port_peer adapts it.
+  using PortPeer = std::function<void(packet::PacketBuffer&&)>;
 
   Lsi(LsiId id, std::string name);
 
@@ -69,11 +72,11 @@ class Lsi {
   util::Status remove_port(PortId port);
 
   /// Sets where frames transmitted out of `port` go.
-  util::Status set_port_peer(PortId port, PortPeer peer);
-
-  /// Burst fast path for `port`: transmit_burst hands the whole vector to
-  /// `peer` in one call instead of one PortPeer call per frame.
   util::Status set_port_burst_peer(PortId port, BurstPeer peer);
+
+  /// Edge adapter: installs a burst peer that hands each frame of the
+  /// burst to `peer` in order. Replaces any peer set before.
+  util::Status set_port_peer(PortId port, PortPeer peer);
 
   [[nodiscard]] bool has_port(PortId port) const;
   [[nodiscard]] util::Result<PortId> port_by_name(
@@ -81,7 +84,8 @@ class Lsi {
   [[nodiscard]] std::vector<PortId> ports() const;
   [[nodiscard]] const PortStats* port_stats(PortId port) const;
 
-  /// Ingress: a frame arrives on `port`; runs the pipeline synchronously.
+  /// Ingress of one frame on `port`: a burst of one through
+  /// receive_burst, run synchronously.
   void receive(PortId port, packet::PacketBuffer&& frame);
 
   /// Burst ingress: classifies every frame, groups survivors per egress
@@ -90,10 +94,8 @@ class Lsi {
   /// preserved (documented in docs/datapath.md).
   void receive_burst(PortId port, packet::PacketBurst&& burst);
 
-  /// Egress helper used by controllers and the steering layer (packet-out).
-  void transmit(PortId port, packet::PacketBuffer&& frame);
-
-  /// Egress of a whole burst through one port.
+  /// Egress of a whole burst through one port (also controller
+  /// packet-out, as a burst of one).
   void transmit_burst(PortId port, packet::PacketBurst&& burst);
 
   FlowTable& flow_table() { return table_; }
@@ -106,8 +108,7 @@ class Lsi {
  private:
   struct Port {
     std::string name;
-    PortPeer peer;
-    BurstPeer burst_peer;
+    BurstPeer peer;
     PortStats stats;
   };
 

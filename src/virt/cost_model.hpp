@@ -1,7 +1,8 @@
 // Per-backend datapath cost models.
 //
-// This is the calibrated substitute for the paper's physical CPE (see
-// DESIGN.md §2). An NF's per-packet service time is
+// This is the calibrated substitute for the paper's physical CPE: a
+// service-time model in simulated time, not a measurement of this host.
+// An NF's per-packet service time is
 //
 //   T(bytes) = path_fixed(backend) + nf_fixed
 //            + bytes * (nf_per_byte * cpu_factor(backend)
@@ -16,10 +17,11 @@
 //   independent of where it runs — this is exactly the paper's observation
 //   that the same Strongswan code performs differently per flavor.
 //
-// Calibration (documented in EXPERIMENTS.md): nf profile "ipsec-esp" is set
-// so the *native* flavor reproduces Table 1's 1094 Mbps on a 1450-byte
-// frame; VM constants are structural (exit + copy costs), not fitted to the
-// paper's VM row — landing near 796 Mbps is then a model prediction.
+// Calibration (the arithmetic is in profile_ipsec_esp(), cost_model.cpp):
+// nf profile "ipsec-esp" is set so the *native* flavor reproduces Table 1's
+// 1094 Mbps on a 1450-byte frame; VM constants are structural (exit + copy
+// costs), not fitted to the paper's VM row — landing near 796 Mbps is then
+// a model prediction. bench_table1_ipsec prints both rows.
 #pragma once
 
 #include <cstdint>

@@ -38,10 +38,10 @@ TEST(NfInstance, ProcessesAfterServiceDelay) {
   ASSERT_TRUE(instance.start().is_ok());
 
   std::vector<sim::SimTime> egress_times;
-  instance.set_egress(nnf::kDefaultContext,
-                      [&](nnf::NfPortIndex, packet::PacketBuffer&&) {
-                        egress_times.push_back(simulator.now());
-                      });
+  instance.set_burst_egress(nnf::kDefaultContext,
+                            [&](nnf::NfPortIndex, packet::PacketBurst&&) {
+                              egress_times.push_back(simulator.now());
+                            });
   instance.inject(nnf::kDefaultContext, 0, test_frame());
   simulator.run();
   ASSERT_EQ(egress_times.size(), 1u);  // bridge floods to the other port
@@ -56,10 +56,11 @@ TEST(NfInstance, QueuesBackToBack) {
       virt::CostModel(virt::BackendKind::kNative, {1000, 0.0}), simulator);
   ASSERT_TRUE(instance.start().is_ok());
   int processed = 0;
-  instance.set_egress(nnf::kDefaultContext,
-                      [&](nnf::NfPortIndex, packet::PacketBuffer&&) {
-                        ++processed;
-                      });
+  instance.set_burst_egress(
+      nnf::kDefaultContext,
+      [&](nnf::NfPortIndex, packet::PacketBurst&& burst) {
+        processed += static_cast<int>(burst.size());
+      });
   instance.inject(nnf::kDefaultContext, 0, test_frame());
   instance.inject(nnf::kDefaultContext, 0, test_frame());
   simulator.run();
@@ -106,12 +107,14 @@ TEST(NfInstance, EgressPerContext) {
   ASSERT_TRUE(instance.start().is_ok());
   int ctx0 = 0;
   int ctx1 = 0;
-  instance.set_egress(0, [&](nnf::NfPortIndex, packet::PacketBuffer&&) {
-    ++ctx0;
-  });
-  instance.set_egress(1, [&](nnf::NfPortIndex, packet::PacketBuffer&&) {
-    ++ctx1;
-  });
+  instance.set_burst_egress(
+      0, [&](nnf::NfPortIndex, packet::PacketBurst&& burst) {
+        ctx0 += static_cast<int>(burst.size());
+      });
+  instance.set_burst_egress(
+      1, [&](nnf::NfPortIndex, packet::PacketBurst&& burst) {
+        ctx1 += static_cast<int>(burst.size());
+      });
   instance.inject(1, 0, test_frame());
   simulator.run();
   EXPECT_EQ(ctx0, 0);

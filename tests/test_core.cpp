@@ -240,8 +240,8 @@ TEST(NetworkManager, VirtualLinkCrossWiresLsis) {
   packet::UdpFrameSpec spec;
   spec.ip_src = *packet::Ipv4Address::parse("1.1.1.1");
   spec.ip_dst = *packet::Ipv4Address::parse("2.2.2.2");
-  network.base_lsi().transmit(link->base_port,
-                              packet::build_udp_frame(spec));
+  network.base_lsi().transmit_burst(
+      link->base_port, packet::burst_of(packet::build_udp_frame(spec)));
   EXPECT_EQ(graph_rx, 1);
 }
 
@@ -314,7 +314,9 @@ TEST_F(SteeringFixture, EndToEndClassificationAndRestoration) {
   spec.src_port = 1;
   spec.dst_port = 2;
   ASSERT_TRUE(
-      network_.inject("eth0", packet::build_udp_frame(spec)).is_ok());
+      network_
+          .inject_burst("eth0", packet::burst_of(packet::build_udp_frame(spec)))
+          .is_ok());
 
   ASSERT_EQ(wan_out.size(), 1u);
   // The WAN endpoint is untagged: the VLAN 10 tag was popped at LSI-0.
@@ -341,7 +343,9 @@ TEST_F(SteeringFixture, ReturnPathReTagsVlan) {
   spec.ip_src = *packet::Ipv4Address::parse("8.8.8.8");
   spec.ip_dst = *packet::Ipv4Address::parse("192.168.1.2");
   ASSERT_TRUE(
-      network_.inject("eth1", packet::build_udp_frame(spec)).is_ok());
+      network_
+          .inject_burst("eth1", packet::burst_of(packet::build_udp_frame(spec)))
+          .is_ok());
   ASSERT_EQ(lan_out.size(), 1u);
   // LAN endpoint is VLAN 10: the return traffic is re-tagged.
   EXPECT_EQ(packet::parse_ethernet(lan_out[0].data())->vlan.value_or(0), 10);
@@ -366,12 +370,14 @@ TEST_F(SteeringFixture, PacketFiltersNarrowRules) {
   dns.ip_src = *packet::Ipv4Address::parse("192.168.1.2");
   dns.ip_dst = *packet::Ipv4Address::parse("8.8.8.8");
   dns.dst_port = 53;
-  (void)network_.inject("eth0", packet::build_udp_frame(dns));
+  (void)network_.inject_burst("eth0",
+                              packet::burst_of(packet::build_udp_frame(dns)));
   EXPECT_EQ(fw_rx, 1);
 
   packet::UdpFrameSpec other = dns;
   other.dst_port = 80;
-  (void)network_.inject("eth0", packet::build_udp_frame(other));
+  (void)network_.inject_burst(
+      "eth0", packet::burst_of(packet::build_udp_frame(other)));
   EXPECT_EQ(fw_rx, 1);  // not matched: graph-LSI table miss, dropped
 }
 

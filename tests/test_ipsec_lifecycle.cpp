@@ -434,6 +434,154 @@ TEST(IpsecLifecycle, HardByteLifetimeEnforcedInbound) {
   EXPECT_EQ(responder.inbound_sa(kDefaultContext)->state, SaState::kDead);
 }
 
+void expect_same_stats(const IpsecStats& a, const IpsecStats& b) {
+  EXPECT_EQ(a.encapsulated, b.encapsulated);
+  EXPECT_EQ(a.decapsulated, b.decapsulated);
+  EXPECT_EQ(a.auth_failures, b.auth_failures);
+  EXPECT_EQ(a.replay_drops, b.replay_drops);
+  EXPECT_EQ(a.malformed, b.malformed);
+  EXPECT_EQ(a.no_sa, b.no_sa);
+  EXPECT_EQ(a.lifetime_drops, b.lifetime_drops);
+  EXPECT_EQ(a.rekeys_started, b.rekeys_started);
+  EXPECT_EQ(a.rekeys_completed, b.rekeys_completed);
+  EXPECT_EQ(a.sas_retired, b.sas_retired);
+}
+
+void expect_same_outputs(const std::vector<NfOutput>& a,
+                         const std::vector<NfOutput>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].port, b[i].port) << "output " << i;
+    const auto x = a[i].frame.data();
+    const auto y = b[i].frame.data();
+    ASSERT_EQ(x.size(), y.size()) << "output " << i;
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin())) << "output " << i;
+  }
+}
+
+/// Runs `count` frames through two identically configured endpoints on
+/// `port`: once as one process_burst, once as `count` process() calls.
+/// Returns both output vectors; outputs and stats() must not differ.
+std::vector<NfOutput> burst_vs_serial(IpsecEndpoint& burst_ep,
+                                      IpsecEndpoint& serial_ep,
+                                      NfPortIndex port,
+                                      std::vector<NfOutput>&& frames) {
+  packet::PacketBurst burst;
+  std::vector<packet::PacketBuffer> serial;
+  for (NfOutput& f : frames) {
+    serial.push_back(packet::PacketBuffer::copy_of(f.frame.data()));
+    burst.push_back(std::move(f.frame));
+  }
+  auto burst_out =
+      burst_ep.process_burst(kDefaultContext, port, 0, std::move(burst));
+  std::vector<NfOutput> serial_out;
+  for (packet::PacketBuffer& frame : serial) {
+    for (NfOutput& o :
+         serial_ep.process(kDefaultContext, port, 0, std::move(frame))) {
+      serial_out.push_back(std::move(o));
+    }
+  }
+  expect_same_outputs(burst_out, serial_out);
+  expect_same_stats(burst_ep.stats(), serial_ep.stats());
+  return burst_out;
+}
+
+TEST(IpsecLifecycle, BurstMatchesSerialCallsAcrossTransitions) {
+  // Three transitions that fire inside one 16-frame burst, so the burst
+  // takes the exclusive-lock path and must behave exactly like 16
+  // process() calls: frame by frame through outbound_gate on encap, and
+  // one inbound hard-lifetime check per frame on decap.
+  struct Case {
+    const char* name;
+    NfConfig initiator;
+    NfConfig responder;
+    bool rekey;
+    std::uint64_t start_seq;
+    std::uint64_t encapsulated;
+    std::uint64_t decapsulated;
+  };
+  NfConfig soft_init = initiator_config();
+  soft_init["life_soft_packets"] = "5";
+  NfConfig hard_init = initiator_config();
+  hard_init["life_hard_packets"] = "10";
+  NfConfig hard_resp = responder_config();
+  hard_resp["life_hard_packets"] = "7";
+  const std::vector<Case> cases = {
+      // Cutover before frame 6; the responders see both generations.
+      {"soft-packet cutover", soft_init, responder_config(), true, 0, 16,
+       16},
+      // 10 frames leave, 6 hit the outbound hard stop; the responders
+      // accept 7 of the 10 and stop on their own inbound hard lifetime.
+      {"hard packet lifetime", hard_init, hard_resp, false, 0, 10, 7},
+      // The default 4096-sequence headroom trips at frame 8.
+      {"sequence headroom", initiator_config(), responder_config(), true,
+       0xFFFFFFFFULL - 4096 - 8, 16, 16},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    IpsecEndpoint init_burst = make_endpoint(c.initiator);
+    IpsecEndpoint init_serial = make_endpoint(c.initiator);
+    IpsecEndpoint resp_burst = make_endpoint(c.responder);
+    IpsecEndpoint resp_serial = make_endpoint(c.responder);
+    if (c.rekey) {
+      for (IpsecEndpoint* ep : {&init_burst, &init_serial}) {
+        ASSERT_TRUE(ep->configure(kDefaultContext, initiator_rekey()).is_ok());
+      }
+      for (IpsecEndpoint* ep : {&resp_burst, &resp_serial}) {
+        ASSERT_TRUE(ep->configure(kDefaultContext, responder_rekey()).is_ok());
+      }
+    }
+    init_burst.outbound_sa(kDefaultContext)->seq = c.start_seq;
+    init_serial.outbound_sa(kDefaultContext)->seq = c.start_seq;
+
+    std::vector<NfOutput> red;
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      red.push_back(NfOutput{0, plaintext_frame(64 + 8 * i, 300 + i)});
+    }
+    auto black = burst_vs_serial(init_burst, init_serial, 0, std::move(red));
+    EXPECT_EQ(init_burst.stats().encapsulated, c.encapsulated);
+    EXPECT_EQ(init_burst.stats().lifetime_drops, 16 - c.encapsulated);
+    EXPECT_EQ(init_burst.stats().rekeys_completed, c.rekey ? 1u : 0u);
+
+    burst_vs_serial(resp_burst, resp_serial, 1, std::move(black));
+    EXPECT_EQ(resp_burst.stats().decapsulated, c.decapsulated);
+    EXPECT_EQ(resp_burst.stats().auth_failures, 0u);
+  }
+}
+
+TEST(IpsecLifecycle, EsnDecapBurstMatchesSerialCallsAcrossSeqHiWrap) {
+  // Steady state (shared lock), but ESN: each frame's seq-hi recovery
+  // reads the replay window the previous frame advanced, so the decap
+  // lane group must close after every frame. Frame 1 moves the window
+  // into the next 2^32 cycle; frame 2 is a late old-cycle packet below
+  // the new window, which serial processing attributes to the new cycle
+  // (authentication failure), not to a replay of the old one.
+  NfConfig init = initiator_config();
+  init["esn"] = "on";
+  NfConfig resp = responder_config();
+  resp["esn"] = "on";
+  IpsecEndpoint initiator = make_endpoint(init);
+  IpsecEndpoint resp_burst = make_endpoint(resp);
+  IpsecEndpoint resp_serial = make_endpoint(resp);
+  const std::uint64_t boundary = 1ULL << 32;
+  for (IpsecEndpoint* ep : {&resp_burst, &resp_serial}) {
+    ep->inbound_sa(kDefaultContext)->replay_top = boundary - 16;
+    ep->inbound_sa(kDefaultContext)->replay_bitmap = 1;
+  }
+  std::vector<NfOutput> black;
+  for (std::uint64_t seq : {boundary + 0x50, boundary - 11, boundary + 0x51}) {
+    initiator.outbound_sa(kDefaultContext)->seq = seq - 1;
+    auto enc = initiator.process(kDefaultContext, 0, 0,
+                                 plaintext_frame(80, seq & 0xFF));
+    ASSERT_EQ(enc.size(), 1u);
+    black.push_back(std::move(enc[0]));
+  }
+  burst_vs_serial(resp_burst, resp_serial, 1, std::move(black));
+  EXPECT_EQ(resp_burst.stats().decapsulated, 2u);
+  EXPECT_EQ(resp_burst.stats().auth_failures, 1u);
+  EXPECT_EQ(resp_burst.stats().replay_drops, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Rekey under traffic, every backend / both transforms
 // ---------------------------------------------------------------------------

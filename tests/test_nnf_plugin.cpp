@@ -202,9 +202,13 @@ class AdaptationFixture : public ::testing::Test {
     EXPECT_TRUE(adaptation_.bind(0, 1, 3001).is_ok());
     EXPECT_TRUE(adaptation_.bind(1, 0, 3010).is_ok());
     EXPECT_TRUE(adaptation_.bind(1, 1, 3011).is_ok());
-    adaptation_.set_transmit([this](packet::PacketBuffer&& frame) {
-      transmitted_.push_back(std::move(frame));
+    adaptation_.set_burst_transmit([this](packet::PacketBurst&& burst) {
+      for (auto& frame : burst) transmitted_.push_back(std::move(frame));
     });
+  }
+
+  void receive(packet::PacketBuffer&& frame) {
+    adaptation_.receive_burst(0, packet::burst_of(std::move(frame)));
   }
 
   Nat nat_;
@@ -215,7 +219,7 @@ class AdaptationFixture : public ::testing::Test {
 TEST_F(AdaptationFixture, DemuxesByMarkAndRetags) {
   // Graph A inside-port traffic (mark 3000) -> NAT ctx 0 -> outside port
   // -> re-tagged with 3001.
-  adaptation_.receive(0, marked_udp(3000, "192.168.1.5", 53));
+  receive(marked_udp(3000, "192.168.1.5", 53));
   ASSERT_EQ(transmitted_.size(), 1u);
   auto eth = packet::parse_ethernet(transmitted_[0].data());
   EXPECT_EQ(eth->vlan.value_or(0), 3001);
@@ -226,7 +230,7 @@ TEST_F(AdaptationFixture, DemuxesByMarkAndRetags) {
 }
 
 TEST_F(AdaptationFixture, ContextsIsolated) {
-  adaptation_.receive(0, marked_udp(3010, "192.168.1.5", 53));
+  receive(marked_udp(3010, "192.168.1.5", 53));
   ASSERT_EQ(transmitted_.size(), 1u);
   auto eth = packet::parse_ethernet(transmitted_[0].data());
   EXPECT_EQ(eth->vlan.value_or(0), 3011);
@@ -239,7 +243,7 @@ TEST_F(AdaptationFixture, ContextsIsolated) {
 }
 
 TEST_F(AdaptationFixture, UnboundMarkCounted) {
-  adaptation_.receive(0, marked_udp(3999, "192.168.1.5", 53));
+  receive(marked_udp(3999, "192.168.1.5", 53));
   EXPECT_TRUE(transmitted_.empty());
   EXPECT_EQ(adaptation_.stats().unmapped_in, 1u);
 }
@@ -248,7 +252,7 @@ TEST_F(AdaptationFixture, UntaggedFrameCounted) {
   packet::UdpFrameSpec spec;
   spec.ip_src = *packet::Ipv4Address::parse("192.168.1.5");
   spec.ip_dst = *packet::Ipv4Address::parse("8.8.8.8");
-  adaptation_.receive(0, packet::build_udp_frame(spec));
+  receive(packet::build_udp_frame(spec));
   EXPECT_TRUE(transmitted_.empty());
   EXPECT_EQ(adaptation_.stats().untagged, 1u);
 }
@@ -256,17 +260,17 @@ TEST_F(AdaptationFixture, UntaggedFrameCounted) {
 TEST_F(AdaptationFixture, NfSeesUntaggedTraffic) {
   // The NAT must receive the frame with the mark popped: its translated
   // output exists (session created) proving it parsed the IP packet.
-  adaptation_.receive(0, marked_udp(3000, "192.168.1.5", 53));
+  receive(marked_udp(3000, "192.168.1.5", 53));
   EXPECT_EQ(nat_.session_count(0), 1u);
 }
 
 TEST_F(AdaptationFixture, UnbindContextStopsTraffic) {
   EXPECT_EQ(adaptation_.unbind_context(0), 2u);
-  adaptation_.receive(0, marked_udp(3000, "192.168.1.5", 53));
+  receive(marked_udp(3000, "192.168.1.5", 53));
   EXPECT_TRUE(transmitted_.empty());
   EXPECT_EQ(adaptation_.stats().unmapped_in, 1u);
   // Context 1 still works.
-  adaptation_.receive(0, marked_udp(3010, "192.168.1.5", 53));
+  receive(marked_udp(3010, "192.168.1.5", 53));
   EXPECT_EQ(transmitted_.size(), 1u);
 }
 

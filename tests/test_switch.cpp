@@ -592,8 +592,8 @@ TEST(LsiBurst, BurstFollowsFlowTable) {
   }
   lsi.receive_burst(in, std::move(burst));
 
-  // Port a has a burst peer: one call with all 5 frames. Port b falls back
-  // to per-frame delivery.
+  // Port a's burst peer gets one call with all 5 frames; port b's
+  // per-frame peer is adapted onto the burst and sees each frame.
   ASSERT_EQ(burst_sizes.size(), 1u);
   EXPECT_EQ(burst_sizes[0], 5u);
   EXPECT_EQ(singles, 3u);

@@ -1,5 +1,4 @@
-// Generic-configuration translation tests (the paper's future-work hook)
-// plus the LearningController (reactive per-LSI control).
+// Generic-configuration translation tests (the paper's future-work hook).
 #include <gtest/gtest.h>
 
 #include "core/node.hpp"
@@ -7,7 +6,6 @@
 #include "nnf/ipsec.hpp"
 #include "nnf/translator.hpp"
 #include "packet/builder.hpp"
-#include "switch/learning_controller.hpp"
 
 namespace nnfv {
 namespace {
@@ -188,92 +186,6 @@ TEST(TranslatingCatalog, EndToEndGenericDeployment) {
   EXPECT_EQ(wan_rx, 1);
   send(23);  // blocked by the lowered rule
   EXPECT_EQ(wan_rx, 1);
-}
-
-// ---------------------------------------------------------------------------
-// LearningController (reactive per-LSI control)
-// ---------------------------------------------------------------------------
-
-packet::PacketBuffer frame_from_to(std::uint32_t src, std::uint32_t dst) {
-  packet::UdpFrameSpec spec;
-  spec.eth_src = packet::MacAddress::from_id(src);
-  spec.eth_dst = packet::MacAddress::from_id(dst);
-  spec.ip_src = *packet::Ipv4Address::parse("10.0.0.1");
-  spec.ip_dst = *packet::Ipv4Address::parse("10.0.0.2");
-  return packet::build_udp_frame(spec);
-}
-
-class LearningFixture : public ::testing::Test {
- protected:
-  LearningFixture() : lsi_(1, "LSI-react") {
-    p1_ = lsi_.add_port("p1").value();
-    p2_ = lsi_.add_port("p2").value();
-    p3_ = lsi_.add_port("p3").value();
-    for (auto [port, sink] : {std::pair{p1_, &rx1_}, std::pair{p2_, &rx2_},
-                              std::pair{p3_, &rx3_}}) {
-      (void)lsi_.set_port_peer(port, [sink](packet::PacketBuffer&&) {
-        ++*sink;
-      });
-    }
-    lsi_.set_controller(&controller_);
-  }
-
-  nfswitch::Lsi lsi_;
-  nfswitch::LearningController controller_;
-  nfswitch::PortId p1_ = 0, p2_ = 0, p3_ = 0;
-  int rx1_ = 0, rx2_ = 0, rx3_ = 0;
-};
-
-TEST_F(LearningFixture, FloodsUnknownThenInstallsRule) {
-  // Host A (on p1) talks to unknown host B: flood to p2+p3.
-  lsi_.receive(p1_, frame_from_to(0xA, 0xB));
-  EXPECT_EQ(controller_.packet_ins(), 1u);
-  EXPECT_EQ(controller_.floods(), 1u);
-  EXPECT_EQ(rx2_, 1);
-  EXPECT_EQ(rx3_, 1);
-  EXPECT_EQ(rx1_, 0);
-
-  // Host B replies from p2: controller knows A -> installs rule + packet-out.
-  lsi_.receive(p2_, frame_from_to(0xB, 0xA));
-  EXPECT_EQ(controller_.rules_installed(), 1u);
-  EXPECT_EQ(rx1_, 1);
-  EXPECT_EQ(lsi_.flow_table().size(), 1u);
-
-  // Subsequent B->A traffic uses the fast path (no new packet-in).
-  const std::uint64_t before = controller_.packet_ins();
-  lsi_.receive(p2_, frame_from_to(0xB, 0xA));
-  EXPECT_EQ(controller_.packet_ins(), before);
-  EXPECT_EQ(rx1_, 2);
-}
-
-TEST_F(LearningFixture, StationMovementRelearns) {
-  lsi_.receive(p1_, frame_from_to(0xA, 0xF));  // learn A@p1
-  lsi_.receive(p2_, frame_from_to(0xA, 0xF));  // A moved to p2
-  // Traffic to A now goes out p2.
-  lsi_.receive(p3_, frame_from_to(0xC, 0xA));
-  EXPECT_EQ(rx2_, 2);  // flood copy + directed copy
-  EXPECT_EQ(controller_.known_stations(), 2u);  // A and C
-}
-
-TEST_F(LearningFixture, BroadcastAlwaysFloods) {
-  packet::UdpFrameSpec spec;
-  spec.eth_src = packet::MacAddress::from_id(0xA);
-  spec.eth_dst = packet::MacAddress::broadcast();
-  spec.ip_src = *packet::Ipv4Address::parse("10.0.0.1");
-  spec.ip_dst = *packet::Ipv4Address::parse("255.255.255.255");
-  lsi_.receive(p1_, packet::build_udp_frame(spec));
-  EXPECT_EQ(rx2_, 1);
-  EXPECT_EQ(rx3_, 1);
-  EXPECT_EQ(controller_.rules_installed(), 0u);
-}
-
-TEST_F(LearningFixture, ResetRemovesRulesAndState) {
-  lsi_.receive(p1_, frame_from_to(0xA, 0xB));
-  lsi_.receive(p2_, frame_from_to(0xB, 0xA));
-  ASSERT_EQ(lsi_.flow_table().size(), 1u);
-  controller_.reset(lsi_);
-  EXPECT_EQ(lsi_.flow_table().size(), 0u);
-  EXPECT_EQ(controller_.known_stations(), 0u);
 }
 
 }  // namespace
