@@ -133,8 +133,7 @@ double run_saturation(const packet::PacketBurst& pool, std::size_t workers,
   exec::DatapathExecutorConfig dp;
   dp.workers = workers;
   exec::DatapathExecutor executor(
-      dp, [&](exec::WorkerContext&, std::uint32_t tag,
-              packet::PacketBurst&& burst) {
+      dp, [&](std::uint32_t tag, packet::PacketBurst&& burst) {
         pipeline.lsi.receive_burst(static_cast<nfswitch::PortId>(tag),
                                    std::move(burst));
       });
@@ -172,8 +171,7 @@ LoadResult run_offered(const packet::PacketBurst& pool, std::size_t workers,
   dp.block_on_full = false;
   dp.shed_enabled = true;
   exec::DatapathExecutor executor(
-      dp, [&](exec::WorkerContext&, std::uint32_t tag,
-              packet::PacketBurst&& burst) {
+      dp, [&](std::uint32_t tag, packet::PacketBurst&& burst) {
         pipeline.lsi.receive_burst(static_cast<nfswitch::PortId>(tag),
                                    std::move(burst));
       });

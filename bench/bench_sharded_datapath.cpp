@@ -136,8 +136,7 @@ RunResult run_point(const packet::PacketBurst& pool, std::size_t workers,
   exec::DatapathExecutorConfig dp;
   dp.workers = workers;
   exec::DatapathExecutor executor(
-      dp, [&](exec::WorkerContext&, std::uint32_t tag,
-              packet::PacketBurst&& burst) {
+      dp, [&](std::uint32_t tag, packet::PacketBurst&& burst) {
         lsi.receive_burst(static_cast<nfswitch::PortId>(tag),
                           std::move(burst));
       });

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "nnf/network_function.hpp"
-#include "sim/link.hpp"
+#include "sim/service_station.hpp"
 #include "sim/simulator.hpp"
 #include "virt/cost_model.hpp"
 

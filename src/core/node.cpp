@@ -16,9 +16,7 @@ UniversalNode::UniversalNode(UniversalNodeConfig config)
                           : nnf::NnfCatalog::with_builtin_plugins())
                    : nnf::NnfCatalog{}),
       resources_(config.capacity),
-      repository_(config.builtin_vnf_repository
-                      ? VnfRepository::with_builtins()
-                      : VnfRepository{}),
+      repository_(VnfRepository::with_builtins()),
       resolver_(&repository_, &catalog_),
       scheduler_(make_policy(config.placement_policy)) {
   for (const std::string& port : config.physical_ports) {
@@ -68,21 +66,16 @@ UniversalNode::UniversalNode(UniversalNodeConfig config)
     exec::DatapathExecutorConfig dp;
     dp.workers = config.datapath_workers;
     dp.shed_enabled = config.datapath_shed_enabled;
-    dp.shed_high_watermark = config.datapath_shed_high;
-    dp.shed_low_watermark = config.datapath_shed_low;
-    dp.shed_hard_watermark = config.datapath_shed_hard;
     // The pipeline tag is the LSI-0 ingress PortId; each worker runs the
     // full classify -> NNF -> egress chain to completion on its core.
     executor_ = std::make_unique<exec::DatapathExecutor>(
-        dp, [this](exec::WorkerContext&, std::uint32_t tag,
-                   packet::PacketBurst&& burst) {
+        dp, [this](std::uint32_t tag, packet::PacketBurst&& burst) {
           network_.base_lsi().receive_burst(
               static_cast<nfswitch::PortId>(tag), std::move(burst));
         });
     if (config.datapath_watchdog) {
-      exec::WatchdogConfig wd;
-      wd.stall_timeout_ms = config.datapath_stall_timeout_ms;
-      watchdog_ = std::make_unique<exec::Watchdog>(*executor_, wd);
+      watchdog_ = std::make_unique<exec::Watchdog>(*executor_,
+                                                   exec::WatchdogConfig{});
     }
   }
 }

@@ -36,7 +36,6 @@ struct UniversalNodeConfig {
       virt::BackendKind::kNative, virt::BackendKind::kDocker,
       virt::BackendKind::kDpdk, virt::BackendKind::kVm};
   bool builtin_nnf_plugins = true;   ///< load the CPE's native functions
-  bool builtin_vnf_repository = true;
   /// Wrap NNF plugins in the generic-config translator and add the DHCP
   /// server (the paper's future-work configuration mechanism; see
   /// nnf/translator.hpp).
@@ -50,19 +49,13 @@ struct UniversalNodeConfig {
   /// egress peers / sim-bound NF stations may then be invoked from
   /// worker threads (sim-bound work bounces via Simulator::post()).
   std::size_t datapath_workers = 0;
-  /// Priority-aware load shedding at the datapath ingress (docs/
-  /// datapath.md §7). Only meaningful with datapath_workers > 0.
+  /// Priority-aware load shedding at the datapath ingress, with the
+  /// executor's ring-capacity watermarks (docs/datapath.md §7). Only
+  /// meaningful with datapath_workers > 0.
   bool datapath_shed_enabled = false;
-  /// Shedding watermarks (frames; 0 = executor defaults, see
-  /// exec::DatapathExecutorConfig).
-  std::size_t datapath_shed_high = 0;
-  std::size_t datapath_shed_low = 0;
-  std::size_t datapath_shed_hard = 0;
-  /// Start the worker watchdog (docs/datapath.md §7). Only meaningful
-  /// with datapath_workers > 0.
+  /// Start the worker watchdog with its 200 ms stall threshold (docs/
+  /// datapath.md §7). Only meaningful with datapath_workers > 0.
   bool datapath_watchdog = false;
-  /// Watchdog stall threshold (see exec::WatchdogConfig).
-  std::uint64_t datapath_stall_timeout_ms = 200;
 };
 
 class UniversalNode {

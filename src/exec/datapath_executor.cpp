@@ -7,21 +7,12 @@
 #include "exec/priority.hpp"
 #include "exec/rss.hpp"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace nnfv::exec {
 
 namespace {
 
-/// Bounded retries for a full handoff ring before dropping. Blocking is
-/// not an option: two workers handing off to each other would deadlock.
-constexpr int kHandoffRetries = 256;
-/// Retry count past which the handoff backoff escalates from a pause
-/// to a full yield — the consumer is clearly busy, so give it the core.
-constexpr int kHandoffYieldAfter = 64;
+/// Max frames a worker pulls from its ingress ring per drain.
+constexpr std::size_t kDrainBatch = 64;
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -33,31 +24,15 @@ inline void cpu_relax() {
 
 }  // namespace
 
-std::size_t WorkerContext::worker_count() const {
-  return executor_.worker_count();
-}
-
-bool WorkerContext::handoff(std::size_t to_worker, std::uint32_t tag,
-                            packet::PacketBuffer&& frame) {
-  return executor_.push_handoff(index_, to_worker, tag, std::move(frame));
-}
-
 DatapathExecutor::DatapathExecutor(DatapathExecutorConfig config,
                                    Pipeline pipeline)
     : config_(config), pipeline_(std::move(pipeline)) {
   config_.workers = std::clamp<std::size_t>(config_.workers, 1, kMaxWorkers);
-  config_.drain_batch = std::max<std::size_t>(config_.drain_batch, 1);
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
     worker->ingress =
         std::make_unique<SpscRing<WorkItem>>(config_.ring_capacity);
-    worker->handoff.resize(config_.workers);
-    for (std::size_t from = 0; from < config_.workers; ++from) {
-      worker->handoff[from] =
-          std::make_unique<SpscRing<WorkItem>>(config_.handoff_capacity);
-    }
-    worker->stats.handoff_drops_to.resize(config_.workers);
     workers_.push_back(std::move(worker));
   }
   // Resolve shedding watermarks against the rounded-up ring capacity.
@@ -159,40 +134,6 @@ bool DatapathExecutor::submit_to(std::size_t worker, std::uint32_t tag,
   return true;
 }
 
-bool DatapathExecutor::push_handoff(std::size_t from, std::size_t to,
-                                    std::uint32_t tag,
-                                    packet::PacketBuffer&& frame) {
-  if (to >= worker_count()) return false;
-  if (FaultInjector::active()) [[unlikely]] {
-    if (FaultInjector::instance().should_fail_handoff(from, to)) {
-      workers_[from]->stats.handoff_drops_to[to] += 1;
-      return false;  // injected drop: frame destructs, segment recycles
-    }
-  }
-  Worker& target = *workers_[to];
-  SpscRing<WorkItem>& ring = *target.handoff[from];
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  WorkItem item{tag, std::move(frame)};
-  for (int attempt = 0; attempt < kHandoffRetries; ++attempt) {
-    if (ring.push(std::move(item))) {
-      workers_[from]->stats.handoff_out += 1;
-      ring_doorbell(to);
-      return true;
-    }
-    ring_doorbell(to);
-    // Escalating backoff: pause first, then yield the core once the
-    // consumer has clearly fallen behind.
-    if (attempt < kHandoffYieldAfter) {
-      cpu_relax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  workers_[from]->stats.handoff_drops_to[to] += 1;
-  return false;
-}
-
 void DatapathExecutor::ring_doorbell(std::size_t worker) {
   Worker& target = *workers_[worker];
   if (target.sleeping.load(std::memory_order_seq_cst)) {
@@ -201,11 +142,10 @@ void DatapathExecutor::ring_doorbell(std::size_t worker) {
   }
 }
 
-std::size_t DatapathExecutor::drain_ring(WorkerContext& ctx,
-                                         SpscRing<WorkItem>& ring) {
-  std::vector<WorkItem> items;
-  items.reserve(config_.drain_batch);
-  if (ring.pop_batch(items, config_.drain_batch) == 0) return 0;
+std::size_t DatapathExecutor::drain_ring(Worker& worker,
+                                         std::vector<WorkItem>& items) {
+  items.clear();
+  if (worker.ingress->pop_batch(items, kDrainBatch) == 0) return 0;
   const std::size_t processed = items.size();
   // Deliver contiguous same-tag runs as one burst; the common case is a
   // whole batch sharing one ingress tag.
@@ -218,12 +158,12 @@ std::size_t DatapathExecutor::drain_ring(WorkerContext& ctx,
     for (std::size_t i = begin; i < end; ++i) {
       group.push_back(std::move(items[i].frame));
     }
-    pipeline_(ctx, items[begin].tag, std::move(group));
+    pipeline_(items[begin].tag, std::move(group));
     begin = end;
   }
   // Counted before the release below, so a drain() that observes
   // inflight_ == 0 also observes the count.
-  workers_[ctx.index()]->stats.processed += processed;
+  worker.stats.processed += processed;
   inflight_.fetch_sub(processed, std::memory_order_release);
   return processed;
 }
@@ -231,36 +171,20 @@ std::size_t DatapathExecutor::drain_ring(WorkerContext& ctx,
 void DatapathExecutor::run_worker(std::size_t index,
                                   std::uint32_t my_generation) {
   Worker& self = *workers_[index];
-#ifdef __linux__
-  if (config_.pin_threads) {
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(index % cores), &set);
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-  }
-#endif
   ScopedWorkerSlot slot_guard(index + 1);
-  WorkerContext ctx(*this, index);
+  std::vector<WorkItem> items;
+  items.reserve(kDrainBatch);
 
   // Supersession check: once the watchdog bumps the generation, this
-  // thread must not touch the rings again — the respawned thread is the
-  // single consumer now. Checked at the loop top and between per-ring
-  // drains; see docs/datapath.md for the recovery contract.
+  // thread must not touch the ring again — the respawned thread is the
+  // single consumer now. Checked before every drain; see
+  // docs/datapath.md for the recovery contract.
   auto superseded = [&] {
     return self.generation.load(std::memory_order_acquire) != my_generation;
   };
 
-  auto drain_all = [&]() -> std::size_t {
-    if (superseded()) return 0;
-    std::size_t processed = drain_ring(ctx, *self.ingress);
-    for (std::size_t from = 0; from < worker_count(); ++from) {
-      if (superseded()) return processed;
-      const std::size_t n = drain_ring(ctx, *self.handoff[from]);
-      self.stats.handoff_in += n;
-      processed += n;
-    }
-    return processed;
+  auto poll_ring = [&]() -> std::size_t {
+    return superseded() ? 0 : drain_ring(self, items);
   };
 
   int idle_spins = 0;
@@ -275,7 +199,7 @@ void DatapathExecutor::run_worker(std::size_t index,
       });
       if (superseded()) break;
     }
-    if (drain_all() > 0) {
+    if (poll_ring() > 0) {
       idle_spins = 0;
       continue;
     }
@@ -292,20 +216,16 @@ void DatapathExecutor::run_worker(std::size_t index,
       // Re-check after publishing sleeping: a producer that pushed just
       // before the store will see sleeping==true and knock; one that
       // pushed earlier is caught by this check.
-      bool empty = self.ingress->empty_approx();
-      for (std::size_t from = 0; empty && from < worker_count(); ++from) {
-        empty = self.handoff[from]->empty_approx();
-      }
-      if (empty && running_.load(std::memory_order_acquire) &&
-          !superseded()) {
+      if (self.ingress->empty_approx() &&
+          running_.load(std::memory_order_acquire) && !superseded()) {
         self.doorbell.wait_for(lock, std::chrono::microseconds(500));
       }
       self.sleeping.store(false, std::memory_order_seq_cst);
     }
   }
-  if (superseded()) return;  // the new generation owns the rings
-  // Final drain so stop() never strands frames in rings.
-  while (drain_all() > 0) {
+  if (superseded()) return;  // the new generation owns the ring
+  // Final drain so stop() never strands frames in the ring.
+  while (poll_ring() > 0) {
   }
 }
 
@@ -318,7 +238,7 @@ void DatapathExecutor::restart_worker(std::size_t worker) {
   if (worker >= worker_count()) return;
   Worker& target = *workers_[worker];
   // Supersede first: the old thread (wherever it is stuck) exits at its
-  // next generation check and never touches the rings again.
+  // next generation check and never touches the ring again.
   const std::uint32_t next_gen =
       target.generation.fetch_add(1, std::memory_order_acq_rel) + 1;
   ring_doorbell(worker);  // wake it if it is asleep so it can exit
@@ -365,11 +285,6 @@ WorkerStats DatapathExecutor::worker_stats(std::size_t worker) const {
   const LiveStats& live = w.stats;
   WorkerStats stats;
   stats.processed = live.processed;
-  stats.handoff_out = live.handoff_out;
-  stats.handoff_in = live.handoff_in;
-  for (const util::RelaxedCounter& drops : live.handoff_drops_to) {
-    stats.handoff_drops += drops;
-  }
   stats.ingress_drops = live.ingress_drops;
   stats.shed_bulk = live.shed_bulk;
   stats.shed_control = live.shed_control;
@@ -392,12 +307,6 @@ std::uint64_t DatapathExecutor::ingress_drops() const {
   return total;
 }
 
-std::uint64_t DatapathExecutor::handoff_drops(std::size_t from,
-                                              std::size_t to) const {
-  if (from >= worker_count() || to >= worker_count()) return 0;
-  return workers_[from]->stats.handoff_drops_to[to];
-}
-
 std::uint64_t DatapathExecutor::worker_heartbeat(std::size_t worker) const {
   if (worker >= worker_count()) return 0;
   return workers_[worker]->heartbeat.load(std::memory_order_acquire);
@@ -405,12 +314,7 @@ std::uint64_t DatapathExecutor::worker_heartbeat(std::size_t worker) const {
 
 bool DatapathExecutor::worker_has_backlog(std::size_t worker) const {
   if (worker >= worker_count()) return false;
-  const Worker& w = *workers_[worker];
-  if (!w.ingress->empty_approx()) return true;
-  for (const auto& ring : w.handoff) {
-    if (!ring->empty_approx()) return true;
-  }
-  return false;
+  return !workers_[worker]->ingress->empty_approx();
 }
 
 json::Value DatapathExecutor::describe_stats() const {
@@ -426,9 +330,6 @@ json::Value DatapathExecutor::describe_stats() const {
     w["heartbeat"] = stats.heartbeat;
     w["occupancy"] = stats.occupancy;
     w["processed"] = stats.processed;
-    w["handoff_out"] = stats.handoff_out;
-    w["handoff_in"] = stats.handoff_in;
-    w["handoff_drops"] = stats.handoff_drops;
     w["ingress_drops"] = stats.ingress_drops;
     w["shed_bulk"] = stats.shed_bulk;
     w["shed_control"] = stats.shed_control;

@@ -10,12 +10,9 @@
 // by a thread-local worker slot (see worker_slot.hpp) that per-worker
 // state (microflow caches, stats shards, NAT port slices) indexes.
 //
-// Cross-shard handoff: when the pipeline must move a frame to another
-// worker (e.g. a virtual link whose peer NF is pinned elsewhere), it
-// calls WorkerContext::handoff(); each ordered (from, to) worker pair
-// owns a dedicated SPSC ring, so handoff is lock-free too. Handoff
-// pushes retry briefly when the ring is full, then drop-and-count —
-// blocking could deadlock two workers handing off to each other.
+// Run to completion is the only worker model: a frame's worker is
+// picked once, at submit, and the frame never moves to another worker.
+// A pipeline that needs its worker identity reads current_worker_slot().
 //
 // Idle workers back off spin → yield → doorbell sleep, so a drained
 // executor costs (almost) no CPU. drain() blocks the control thread
@@ -27,16 +24,16 @@
 //    exec::Watchdog (watchdog.hpp) polls those and calls
 //    restart_worker() on a worker that stops making progress while it
 //    has backlog. Restart supersedes the old thread via a per-worker
-//    generation counter: the new generation owns the rings, the old
-//    thread exits at its next generation check without touching them
+//    generation counter: the new generation owns the ring, the old
+//    thread exits at its next generation check without touching it
 //    again. See docs/datapath.md for the recovery contract.
 //  * Priority-aware shedding (off by default): when a shard's ingress
 //    occupancy crosses shed_high, bulk frames for that shard are
 //    dropped at submit — before any pipeline work is invested — until
 //    occupancy falls below shed_low (hysteresis). Control frames (ARP /
 //    DHCP / rekey ESP, see priority.hpp) are admitted until shed_hard.
-//  * FaultInjector hooks (fault_inject.hpp) can stall a worker or fail
-//    handoffs; they cost one relaxed load when the harness is off.
+//  * A FaultInjector hook (fault_inject.hpp) can stall a worker; it
+//    costs one relaxed load when the harness is off.
 #pragma once
 
 #include <atomic>
@@ -61,15 +58,9 @@ struct DatapathExecutorConfig {
   std::size_t workers = 1;
   /// Per-worker ingress ring capacity (frames).
   std::size_t ring_capacity = 4096;
-  /// Per (from, to) worker-pair handoff ring capacity (frames).
-  std::size_t handoff_capacity = 1024;
-  /// Max frames a worker pulls from one ring per drain.
-  std::size_t drain_batch = 64;
   /// submit_burst behavior on a full ingress ring: spin until space
   /// (backpressure, default) or drop-and-count.
   bool block_on_full = true;
-  /// Pin worker i to CPU i % hardware_concurrency (Linux only).
-  bool pin_threads = false;
   /// Priority-aware shedding at submit. Off by default: the existing
   /// backpressure/tail-drop behavior is unchanged unless opted into.
   bool shed_enabled = false;
@@ -87,11 +78,6 @@ struct DatapathExecutorConfig {
 /// Per-worker counters, aggregated by the executor's accessors.
 struct WorkerStats {
   std::uint64_t processed = 0;     ///< frames run through the pipeline
-  std::uint64_t handoff_out = 0;   ///< frames pushed to another shard
-  std::uint64_t handoff_in = 0;    ///< frames received from another shard
-  std::uint64_t handoff_drops = 0; ///< handoff pushes that found a full ring
-                                   ///< (summed over targets; per-pair via
-                                   ///< DatapathExecutor::handoff_drops())
   std::uint64_t ingress_drops = 0; ///< full-ring submit drops on this shard
   std::uint64_t shed_bulk = 0;     ///< bulk frames shed at submit
   std::uint64_t shed_control = 0;  ///< control frames shed past shed_hard
@@ -101,36 +87,13 @@ struct WorkerStats {
   std::uint64_t occupancy = 0;     ///< ingress-ring occupancy snapshot
 };
 
-class DatapathExecutor;
-
-/// Handed to the pipeline; identifies the worker and provides handoff.
-class WorkerContext {
- public:
-  /// 0-based worker index.
-  std::size_t index() const { return index_; }
-  /// Worker-slot id (index + 1; slot 0 is the control thread).
-  std::size_t slot() const { return index_ + 1; }
-  std::size_t worker_count() const;
-  /// Moves a frame to another worker's shard; it re-enters the pipeline
-  /// there with `tag`. Returns false (and counts a drop) if the handoff
-  /// ring stayed full after bounded retries.
-  bool handoff(std::size_t to_worker, std::uint32_t tag,
-               packet::PacketBuffer&& frame);
-
- private:
-  friend class DatapathExecutor;
-  WorkerContext(DatapathExecutor& executor, std::size_t index)
-      : executor_(executor), index_(index) {}
-  DatapathExecutor& executor_;
-  std::size_t index_;
-};
-
 class DatapathExecutor {
  public:
   /// The per-burst pipeline body. `tag` is caller-defined routing info
-  /// (ingress port id, handoff stage, ...) carried with every frame.
-  using Pipeline = std::function<void(WorkerContext&, std::uint32_t tag,
-                                      packet::PacketBurst&&)>;
+  /// (e.g. the ingress port id) carried with every frame. It runs on a
+  /// worker thread whose current_worker_slot() is 1..worker_count().
+  using Pipeline =
+      std::function<void(std::uint32_t tag, packet::PacketBurst&&)>;
 
   DatapathExecutor(DatapathExecutorConfig config, Pipeline pipeline);
   ~DatapathExecutor();
@@ -162,19 +125,17 @@ class DatapathExecutor {
   std::uint64_t total_processed() const;
   /// Frames submit dropped on full ingress rings, summed over shards.
   std::uint64_t ingress_drops() const;
-  /// Handoff drops for the ordered worker pair (from, to).
-  std::uint64_t handoff_drops(std::size_t from, std::size_t to) const;
   /// Loop-iteration epoch of `worker`; a healthy worker bumps it at
   /// least every doorbell-sleep interval even when idle.
   std::uint64_t worker_heartbeat(std::size_t worker) const;
-  /// True when any ring feeding `worker` holds frames (watchdog's "no
+  /// True when `worker`'s ingress ring holds frames (watchdog's "no
   /// progress while there is work" condition).
   bool worker_has_backlog(std::size_t worker) const;
 
   /// Watchdog recovery: records a stall detection for `worker`.
   void note_stall(std::size_t worker);
   /// Watchdog recovery: supersedes `worker`'s thread (generation bump)
-  /// and spawns a fresh one on the same rings. The superseded thread
+  /// and spawns a fresh one on the same ring. The superseded thread
   /// exits at its next generation check; it is joined in stop(). Safe
   /// to call from the watchdog thread while the control thread submits.
   void restart_worker(std::size_t worker);
@@ -184,8 +145,6 @@ class DatapathExecutor {
   json::Value describe_stats() const;
 
  private:
-  friend class WorkerContext;
-
   struct WorkItem {
     std::uint32_t tag = 0;
     packet::PacketBuffer frame;
@@ -196,22 +155,15 @@ class DatapathExecutor {
   /// are still counting.
   struct LiveStats {
     util::RelaxedCounter processed;
-    util::RelaxedCounter handoff_out;
-    util::RelaxedCounter handoff_in;
     util::RelaxedCounter ingress_drops;
     util::RelaxedCounter shed_bulk;
     util::RelaxedCounter shed_control;
     util::RelaxedCounter stalls;
     util::RelaxedCounter restarts;
-    /// handoff_drops_to[to]: drops of handoffs this worker pushed
-    /// toward worker `to` (written only by this worker's thread).
-    std::vector<util::RelaxedCounter> handoff_drops_to;
   };
 
   struct alignas(kCacheLine) Worker {
     std::unique_ptr<SpscRing<WorkItem>> ingress;
-    /// handoff[from] = ring written by worker `from`, read by this one.
-    std::vector<std::unique_ptr<SpscRing<WorkItem>>> handoff;
     std::thread thread;
     LiveStats stats;
     std::mutex doorbell_mutex;
@@ -220,7 +172,7 @@ class DatapathExecutor {
     /// Bumped once per worker-loop iteration; frozen = stalled.
     std::atomic<std::uint64_t> heartbeat{0};
     /// Restart token: run_worker exits when its captured generation no
-    /// longer matches, without touching the rings again.
+    /// longer matches, without touching the ring again.
     std::atomic<std::uint32_t> generation{0};
     /// Shedding hysteresis state for this shard. Owned by the single
     /// submit thread; Relaxed so describe_stats() may read it.
@@ -228,13 +180,12 @@ class DatapathExecutor {
   };
 
   void run_worker(std::size_t index, std::uint32_t my_generation);
-  /// Drains up to drain_batch items from `ring`, runs the pipeline on
-  /// them grouped by tag, and credits `stats_processed`. Returns the
+  /// Drains up to kDrainBatch items from `worker`'s ingress ring into
+  /// `items` (a per-thread scratch vector), runs the pipeline on them
+  /// grouped by tag, and credits the worker's `processed`. Returns the
   /// number of frames processed.
-  std::size_t drain_ring(WorkerContext& ctx, SpscRing<WorkItem>& ring);
+  std::size_t drain_ring(Worker& worker, std::vector<WorkItem>& items);
   void ring_doorbell(std::size_t worker);
-  bool push_handoff(std::size_t from, std::size_t to, std::uint32_t tag,
-                    packet::PacketBuffer&& frame);
   /// True when shedding says to drop `frame` for `worker` right now;
   /// counts the shed. Called only from the submit thread.
   bool should_shed(Worker& worker, const packet::PacketBuffer& frame);

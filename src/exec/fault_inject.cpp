@@ -34,7 +34,6 @@ void FaultInjector::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   stall_armed_ = false;
   stall_captured_ = false;
-  handoff_faults_.clear();
   for (packet::MbufSegment* seg : hoard_) {
     seg->refcount.store(0, std::memory_order_relaxed);
     packet::MbufPool::free_segment(seg);
@@ -75,29 +74,6 @@ void FaultInjector::maybe_stall(std::size_t index,
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   stalled_threads_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void FaultInjector::fail_handoffs(std::size_t from, std::size_t to,
-                                  std::uint64_t count) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (HandoffFault& fault : handoff_faults_) {
-    if (fault.from == from && fault.to == to) {
-      fault.remaining += count;
-      return;
-    }
-  }
-  handoff_faults_.push_back({from, to, count});
-}
-
-bool FaultInjector::should_fail_handoff(std::size_t from, std::size_t to) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (HandoffFault& fault : handoff_faults_) {
-    if (fault.from == from && fault.to == to && fault.remaining > 0) {
-      --fault.remaining;
-      return true;
-    }
-  }
-  return false;
 }
 
 void FaultInjector::hoard_segments(packet::MbufPool& pool,

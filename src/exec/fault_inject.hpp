@@ -1,8 +1,7 @@
 // Fault-injection harness for the overload-resilience tests and bench.
 //
-// A process-wide singleton of hooks the datapath consults at three choke
-// points: the worker loop top (stall a chosen worker), the cross-shard
-// handoff push (force failures for an ordered worker pair), and mbuf
+// A process-wide singleton of hooks the datapath consults at two choke
+// points: the worker loop top (stall a chosen worker) and mbuf
 // allocation pressure (hoard segments so a pool runs dry). Everything is
 // gated behind one static relaxed atomic bool: production paths pay a
 // single predicted-not-taken branch, and when the harness was never
@@ -22,7 +21,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -63,14 +61,6 @@ class FaultInjector {
   /// (shutdown / supersession predicate) returns false.
   void maybe_stall(std::size_t index, const std::function<bool()>& abort);
 
-  // --- handoff failures --------------------------------------------------
-  /// Arms `count` forced failures for handoffs from worker `from` to
-  /// worker `to`; each failure is charged to that pair's drop counter
-  /// exactly like a full-ring drop.
-  void fail_handoffs(std::size_t from, std::size_t to, std::uint64_t count);
-  /// Executor hook: consumes one armed failure; true = fail this push.
-  bool should_fail_handoff(std::size_t from, std::size_t to);
-
   // --- mbuf-pool exhaustion ----------------------------------------------
   /// Allocates and holds `count` full-size segments from `pool`, so
   /// later allocations overflow to the heap path (or, for a non-growing
@@ -91,13 +81,6 @@ class FaultInjector {
   bool stall_captured_ = false;
   std::size_t stall_index_ = 0;
   std::atomic<std::size_t> stalled_threads_{0};
-  // Armed handoff failures per ordered (from, to) pair.
-  struct HandoffFault {
-    std::size_t from = 0;
-    std::size_t to = 0;
-    std::uint64_t remaining = 0;
-  };
-  std::vector<HandoffFault> handoff_faults_;
   std::vector<packet::MbufSegment*> hoard_;
 };
 

@@ -1,5 +1,6 @@
 #include "exec/priority.hpp"
 
+#include "packet/flow_key.hpp"
 #include "packet/headers.hpp"
 
 namespace nnfv::exec {
@@ -50,8 +51,10 @@ bool ControlSpiRegistry::contains(std::uint32_t spi) const {
   return spis_.contains(spi);
 }
 
-FramePriority classify_priority(const packet::FlowFields& fields,
-                                std::span<const std::uint8_t> frame) {
+FramePriority classify_priority(std::span<const std::uint8_t> frame) {
+  auto decoded = packet::extract_flow_fields(frame);
+  if (!decoded) return FramePriority::kBulk;
+  const packet::FlowFields& fields = decoded.value();
   if (fields.eth.ether_type == packet::kEtherTypeArp) {
     return FramePriority::kControl;
   }
@@ -72,12 +75,6 @@ FramePriority classify_priority(const packet::FlowFields& fields,
     }
   }
   return FramePriority::kBulk;
-}
-
-FramePriority classify_priority(std::span<const std::uint8_t> frame) {
-  auto fields = packet::extract_flow_fields(frame);
-  if (!fields) return FramePriority::kBulk;
-  return classify_priority(fields.value(), frame);
 }
 
 }  // namespace nnfv::exec

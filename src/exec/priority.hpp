@@ -22,8 +22,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "packet/flow_key.hpp"
-
 namespace nnfv::exec {
 
 enum class FramePriority : std::uint8_t { kBulk = 0, kControl = 1 };
@@ -48,13 +46,8 @@ class ControlSpiRegistry {
   std::atomic<std::size_t> count_{0};
 };
 
-/// Classifies from already-extracted flow fields; `frame` is only peeked
-/// for the ESP SPI (the one field FlowFields does not carry), and only
-/// when a rekey is in flight.
-FramePriority classify_priority(const packet::FlowFields& fields,
-                                std::span<const std::uint8_t> frame);
-
 /// Classifies a raw frame (submit-side shedding: nothing is decoded yet).
+/// The ESP SPI is only peeked when a rekey is in flight.
 FramePriority classify_priority(std::span<const std::uint8_t> frame);
 
 }  // namespace nnfv::exec

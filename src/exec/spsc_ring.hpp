@@ -1,12 +1,12 @@
 // Bounded lock-free single-producer/single-consumer ring.
 //
-// The cross-shard handoff primitive of the sharded datapath (ROADMAP
-// item 1): the dispatcher feeds each worker's ingress ring, and each
-// ordered (producer worker, consumer worker) pair owns one handoff ring.
-// Classic Lamport queue with cache-line-separated head/tail and cached
-// opposite indexes so the steady state touches one shared cache line per
-// batch, not per element. Capacity is rounded up to a power of two; one
-// slot is sacrificed to distinguish full from empty.
+// The ingress queue of the sharded datapath (ROADMAP item 1): the
+// submitting control thread is the single producer of each worker's
+// ring, and that worker is its single consumer. Classic Lamport queue
+// with cache-line-separated head/tail and cached opposite indexes so the
+// steady state touches one shared cache line per batch, not per element.
+// Capacity is rounded up to a power of two; one slot is sacrificed to
+// distinguish full from empty.
 #pragma once
 
 #include <atomic>

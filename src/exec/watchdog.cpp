@@ -11,10 +11,6 @@ Watchdog::Watchdog(DatapathExecutor& executor, WatchdogConfig config)
     : executor_(executor), config_(config) {
   config_.stall_timeout_ms = std::max<std::uint64_t>(
       config_.stall_timeout_ms, 1);
-  if (config_.poll_interval_ms == 0) {
-    config_.poll_interval_ms = std::max<std::uint64_t>(
-        config_.stall_timeout_ms / 4, 1);
-  }
   const auto now = std::chrono::steady_clock::now();
   tracks_.resize(executor_.worker_count());
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
@@ -38,7 +34,8 @@ void Watchdog::stop() {
 }
 
 void Watchdog::run() {
-  const auto poll = std::chrono::milliseconds(config_.poll_interval_ms);
+  const auto poll = std::chrono::milliseconds(
+      std::max<std::uint64_t>(config_.stall_timeout_ms / 4, 1));
   std::unique_lock<std::mutex> lock(mutex_);
   while (running_.load(std::memory_order_acquire)) {
     wakeup_.wait_for(lock, poll);

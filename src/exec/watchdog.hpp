@@ -8,10 +8,9 @@
 // the thread is stuck (in the pipeline, in a fault-injected stall, on a
 // wedged lock). Restarting an idle-but-frozen worker would be wasted
 // churn, so recovery additionally requires backlog: frames waiting in
-// the worker's ingress or handoff rings.
+// the worker's ingress ring.
 //
-// The monitor thread polls at stall_timeout_ms / 4 (configurable), so
-// detection latency is stall_timeout..1.25*stall_timeout. Counters for
+// The monitor thread polls at stall_timeout_ms / 4, so detection latency is stall_timeout..1.25*stall_timeout. Counters for
 // detections and restarts live in the executor's per-worker stats
 // (worker_stalls / worker_restarts in describe_stats()).
 #pragma once
@@ -32,8 +31,6 @@ struct WatchdogConfig {
   /// A worker whose heartbeat is frozen this long while it has backlog
   /// is declared stalled.
   std::uint64_t stall_timeout_ms = 200;
-  /// Monitor poll period. 0 = stall_timeout_ms / 4 (min 1 ms).
-  std::uint64_t poll_interval_ms = 0;
   /// Recover stalled workers (restart_worker). Off = detect and count
   /// only.
   bool restart_stalled = true;

@@ -251,10 +251,6 @@ util::Status IpsecEndpoint::configure(ContextId ctx, const NfConfig& config) {
     } else if (key == "enc_key") {
       NNFV_RETURN_IF_ERROR(parse_enc_key(value, tunnel.keymat->enc_key,
                                          tunnel.keymat->salt));
-      tunnel.out_sa.enc_key = tunnel.keymat->enc_key;
-      tunnel.out_sa.salt = tunnel.keymat->salt;
-      tunnel.in_sa.enc_key = tunnel.keymat->enc_key;
-      tunnel.in_sa.salt = tunnel.keymat->salt;
       tunnel.keymat->have_enc_key = true;
     } else if (key == "esp_transform") {
       if (value == "gcm") {
@@ -275,8 +271,6 @@ util::Status IpsecEndpoint::configure(ContextId ctx, const NfConfig& config) {
       tunnel.in_sa.esn = tunnel.out_sa.esn;
     } else if (key == "auth_key") {
       NNFV_RETURN_IF_ERROR(parse_key(value, tunnel.keymat->auth_key));
-      tunnel.out_sa.auth_key = tunnel.keymat->auth_key;
-      tunnel.in_sa.auth_key = tunnel.keymat->auth_key;
     } else if (key == "life_soft_packets") {
       NNFV_RETURN_IF_ERROR(
           parse_count(key, value, tunnel.lifetime.soft_packets));
@@ -403,12 +397,6 @@ util::Status IpsecEndpoint::stage_rekey(ContextId ctx, Tunnel& tunnel,
   NNFV_RETURN_IF_ERROR(staged.keymat->prepare());
   staged.out_sa.esn = tunnel.out_sa.esn;
   staged.in_sa.esn = tunnel.in_sa.esn;
-  staged.out_sa.enc_key = staged.keymat->enc_key;
-  staged.out_sa.salt = staged.keymat->salt;
-  staged.out_sa.auth_key = staged.keymat->auth_key;
-  staged.in_sa.enc_key = staged.keymat->enc_key;
-  staged.in_sa.salt = staged.keymat->salt;
-  staged.in_sa.auth_key = staged.keymat->auth_key;
   // Restaging replaces a pending (not yet cut over) rekey.
   if (tunnel.staged) sad_erase(ctx, tunnel.staged->in_sa.spi);
   sad_insert(ctx, staged.in_sa.spi, SadSlot::kStaged);

@@ -104,9 +104,6 @@ struct SaLifetime {
 /// ingress of one outer IP pair, hence one SPI, to one worker.
 struct SecurityAssociation {
   std::uint32_t spi = 0;
-  std::array<std::uint8_t, 16> enc_key{};   ///< AES-128
-  std::array<std::uint8_t, 4> salt{};       ///< GCM nonce salt (RFC 4106)
-  std::array<std::uint8_t, 32> auth_key{};  ///< HMAC-SHA256 (cbc-hmac)
   bool esn = false;  ///< RFC 4304 64-bit extended sequence numbers
   util::Relaxed<SaState> state = SaState::kActive;
   util::RelaxedCounter seq;  ///< last sent (out) sequence, full 64-bit

@@ -18,7 +18,7 @@
 //    pushed onto the owning pool's MPSC free stack (Treiber push; the
 //    owner drains it wholesale with exchange(nullptr), so there is no
 //    ABA window). This is the "cross-worker return" path for frames that
-//    cross SPSC handoff rings between shards.
+//    one thread builds and submits and a datapath worker frees.
 //  * When a pool runs dry it first drains the foreign stack, then grows
 //    by one slab (counted in stats.slab_allocs). Frames larger than
 //    kDataCapacity get a dedicated heap segment (counted in

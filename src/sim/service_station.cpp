@@ -1,45 +1,8 @@
-#include "sim/link.hpp"
+#include "sim/service_station.hpp"
 
 #include <utility>
 
 namespace nnfv::sim {
-
-Link::Link(Simulator& simulator, double bits_per_second,
-           SimTime propagation_delay, std::size_t queue_capacity)
-    : simulator_(simulator),
-      rate_bps_(bits_per_second),
-      propagation_delay_(propagation_delay),
-      capacity_(queue_capacity) {}
-
-bool Link::transmit(std::uint64_t bytes, Deliver deliver) {
-  if (queue_.size() >= capacity_) {
-    ++stats_.dropped;
-    return false;
-  }
-  ++stats_.enqueued;
-  queue_.push_back(Pending{bytes, std::move(deliver)});
-  if (!transmitting_) start_next();
-  return true;
-}
-
-void Link::start_next() {
-  if (queue_.empty()) {
-    transmitting_ = false;
-    return;
-  }
-  transmitting_ = true;
-  Pending item = std::move(queue_.front());
-  queue_.pop_front();
-  const SimTime tx = transmission_time(item.bytes, rate_bps_);
-  stats_.busy_time += tx;
-  // After serialization the transmitter is free; delivery happens one
-  // propagation delay later.
-  simulator_.schedule(tx, [this, deliver = std::move(item.deliver)]() mutable {
-    ++stats_.completed;
-    simulator_.schedule(propagation_delay_, std::move(deliver));
-    start_next();
-  });
-}
 
 ServiceStation::ServiceStation(Simulator& simulator,
                                std::size_t queue_capacity)

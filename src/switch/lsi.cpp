@@ -1,6 +1,5 @@
 #include "switch/lsi.hpp"
 
-#include "exec/priority.hpp"
 #include "util/logging.hpp"
 
 namespace nnfv::nfswitch {
@@ -74,9 +73,6 @@ void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
   auto it = ports_.find(port);
   if (it == ports_.end()) return;  // burst on a deleted port: drop
   it->second.stats.rx_packets += burst.size();
-  for (const packet::PacketBuffer& frame : burst) {
-    it->second.stats.rx_bytes += frame.size();
-  }
   processed_ += burst.size();
 
   // Survivors grouped per egress port, same-port order preserved.
@@ -87,14 +83,6 @@ void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
     if (!fields) {
       NNFV_LOG(kDebug, "lsi") << name_ << ": unparseable frame dropped";
       continue;
-    }
-    // Priority split from the fields already decoded for classification;
-    // only a rekey-ESP frame costs an extra peek (the SPI).
-    if (exec::classify_priority(fields.value(), frame.data()) ==
-        exec::FramePriority::kControl) {
-      it->second.stats.rx_control += 1;
-    } else {
-      it->second.stats.rx_bulk += 1;
     }
     FlowContext ctx{port, fields.value()};
     FlowEntry* entry =
@@ -126,9 +114,6 @@ void Lsi::transmit_burst(PortId port, packet::PacketBurst&& burst) {
   if (it == ports_.end()) return;
   Port& p = it->second;
   p.stats.tx_packets += burst.size();
-  for (const packet::PacketBuffer& frame : burst) {
-    p.stats.tx_bytes += frame.size();
-  }
   if (!p.peer) {
     p.stats.tx_no_peer += burst.size();
     return;

@@ -40,17 +40,8 @@ class FlowController {
 /// the same port's stats concurrently (docs/datapath.md §6).
 struct PortStats {
   util::RelaxedCounter rx_packets;
-  util::RelaxedCounter rx_bytes;
   util::RelaxedCounter tx_packets;
-  util::RelaxedCounter tx_bytes;
   util::RelaxedCounter tx_no_peer;  ///< transmits with no peer attached
-  /// Ingress priority split (exec/priority.hpp): control = ARP / DHCP /
-  /// rekey ESP, bulk = everything else. Fed by receive_burst from the
-  /// flow fields it already decodes; overload shedding upstream uses
-  /// the same classifier, so these two counters tell which class a
-  /// congested port actually carried.
-  util::RelaxedCounter rx_control;
-  util::RelaxedCounter rx_bulk;
 };
 
 class Lsi {

@@ -124,7 +124,7 @@ TEST(MbufPool, BurstAllocAndFreeRecycleWithoutHeapEvents) {
 TEST(MbufPool, CrossWorkerFreeReturnsSegmentsToOwningPool) {
   // Frames allocated on the control slot (0) and destroyed on a worker
   // slot must come back through the owner's MPSC stack and become
-  // allocatable again — the handoff-ring ownership transfer in miniature.
+  // allocatable again — the ingress-ring ownership transfer in miniature.
   constexpr std::size_t kRounds = 16;
   constexpr std::size_t kBurst = 32;
   const MbufPoolStats before = MbufPool::for_slot(0).stats();
@@ -282,6 +282,8 @@ nnf::NfConfig esp_config(const char* local, const char* peer,
 }
 
 PacketBuffer udp_frame(std::size_t payload_size) {
+  // Named, so the span in spec.payload outlives build_udp_frame().
+  const std::vector<std::uint8_t> payload = pattern(payload_size);
   UdpFrameSpec spec;
   spec.eth_src = MacAddress::from_id(1);
   spec.eth_dst = MacAddress::from_id(2);
@@ -289,7 +291,7 @@ PacketBuffer udp_frame(std::size_t payload_size) {
   spec.ip_dst = *Ipv4Address::parse("10.8.0.5");
   spec.src_port = 5001;
   spec.dst_port = 5001;
-  spec.payload = pattern(payload_size);
+  spec.payload = payload;
   return build_udp_frame(spec);
 }
 

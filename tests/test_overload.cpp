@@ -105,13 +105,19 @@ std::uint64_t pool_outstanding() {
 TEST(FaultInject, InertWhenNothingIsArmed) {
   exec::FaultInjector& injector = exec::FaultInjector::instance();
   EXPECT_EQ(injector.stalled_threads(), 0u);
-  EXPECT_FALSE(injector.should_fail_handoff(0, 1));
   EXPECT_EQ(injector.hoarded(), 0u);
-  // An armed-then-reset harness goes back to inert.
+  // An armed-then-reset harness goes back to inert: the stall hook
+  // returns without capturing the thread, so it never polls `abort`.
   ScopedFaultInjection scoped;
-  injector.fail_handoffs(0, 1, 5);
+  injector.stall_worker(0);
   injector.reset();
-  EXPECT_FALSE(injector.should_fail_handoff(0, 1));
+  int abort_polls = 0;
+  injector.maybe_stall(0, [&] {
+    ++abort_polls;
+    return true;
+  });
+  EXPECT_EQ(abort_polls, 0);
+  EXPECT_EQ(injector.stalled_threads(), 0u);
 }
 
 TEST(FaultInject, StallCapturesExactlyOneThreadAndReleases) {
@@ -121,9 +127,8 @@ TEST(FaultInject, StallCapturesExactlyOneThreadAndReleases) {
   exec::DatapathExecutorConfig config;
   config.workers = 2;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext& ctx, std::uint32_t,
-                  packet::PacketBurst&& burst) {
-        processed[ctx.index()].fetch_add(burst.size());
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
+        processed[exec::current_worker_slot() - 1].fetch_add(burst.size());
       });
   injector.stall_worker(0);
   ASSERT_TRUE(eventually([&] { return injector.stalled_threads() == 1; }));
@@ -138,36 +143,6 @@ TEST(FaultInject, StallCapturesExactlyOneThreadAndReleases) {
   executor.drain();
   EXPECT_EQ(processed[0].load(), 1u);
   EXPECT_TRUE(eventually([&] { return injector.stalled_threads() == 0; }));
-  executor.stop();
-}
-
-TEST(FaultInject, HandoffFailuresCountAgainstTheOrderedPair) {
-  ScopedFaultInjection scoped;
-  exec::FaultInjector::instance().fail_handoffs(0, 1, 3);
-  std::array<std::atomic<std::uint64_t>, 2> arrived{};
-  exec::DatapathExecutorConfig config;
-  config.workers = 2;
-  exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext& ctx, std::uint32_t tag,
-                  packet::PacketBurst&& burst) {
-        if (tag == 0 && ctx.index() == 0) {
-          for (packet::PacketBuffer& frame : burst) {
-            (void)ctx.handoff(1, 1, std::move(frame));
-          }
-          return;
-        }
-        arrived[ctx.index()].fetch_add(burst.size());
-      });
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(executor.submit_to(0, 0, make_udp(1, 1000)));
-  }
-  executor.drain();
-  EXPECT_EQ(executor.handoff_drops(0, 1), 3u);
-  EXPECT_EQ(executor.handoff_drops(1, 0), 0u);
-  EXPECT_EQ(executor.worker_stats(0).handoff_drops, 3u);
-  EXPECT_EQ(executor.worker_stats(0).handoff_out, 7u);
-  EXPECT_EQ(executor.worker_stats(1).handoff_in, 7u);
-  EXPECT_EQ(arrived[1].load(), 7u);
   executor.stop();
 }
 
@@ -206,9 +181,8 @@ TEST(Watchdog, DetectsStallAndRestartsWorker) {
   exec::DatapathExecutorConfig config;
   config.workers = 2;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext& ctx, std::uint32_t,
-                  packet::PacketBurst&& burst) {
-        processed[ctx.index()].fetch_add(burst.size());
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
+        processed[exec::current_worker_slot() - 1].fetch_add(burst.size());
       });
   exec::WatchdogConfig wd;
   wd.stall_timeout_ms = 50;
@@ -247,8 +221,7 @@ TEST(Watchdog, IdleWorkersAreNotRestarted) {
   exec::DatapathExecutorConfig config;
   config.workers = 2;
   exec::DatapathExecutor executor(
-      config,
-      [&](exec::WorkerContext&, std::uint32_t, packet::PacketBurst&&) {});
+      config, [&](std::uint32_t, packet::PacketBurst&&) {});
   exec::WatchdogConfig wd;
   wd.stall_timeout_ms = 20;
   exec::Watchdog watchdog(executor, wd);
@@ -266,8 +239,7 @@ TEST(Watchdog, DetectOnlyModeCountsButDoesNotRestart) {
   exec::DatapathExecutorConfig config;
   config.workers = 1;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext&, std::uint32_t,
-                  packet::PacketBurst&& burst) {
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
         processed.fetch_add(burst.size());
       });
   exec::WatchdogConfig wd;
@@ -291,8 +263,7 @@ TEST(Watchdog, HeartbeatAdvancesOnIdleWorkers) {
   exec::DatapathExecutorConfig config;
   config.workers = 1;
   exec::DatapathExecutor executor(
-      config,
-      [&](exec::WorkerContext&, std::uint32_t, packet::PacketBurst&&) {});
+      config, [&](std::uint32_t, packet::PacketBurst&&) {});
   const std::uint64_t first = executor.worker_heartbeat(0);
   // The idle loop's doorbell sleep is bounded, so the heartbeat keeps
   // moving with no traffic at all — the invariant stall detection needs.
@@ -340,8 +311,7 @@ TEST(Overload, BulkShedsAtHighWatermarkWhileControlSurvives) {
   config.shed_hard_watermark = 10;
   std::atomic<std::uint64_t> processed{0};
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext&, std::uint32_t,
-                  packet::PacketBurst&& burst) {
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
         processed.fetch_add(burst.size());
       });
   // Freeze the only worker so ring occupancy is fully deterministic.
@@ -390,8 +360,7 @@ TEST(Overload, IngressDropsAreAttributedToTheHotShard) {
   config.ring_capacity = 4;  // rounds up to a usable capacity of 7
   config.block_on_full = false;
   exec::DatapathExecutor executor(
-      config,
-      [&](exec::WorkerContext&, std::uint32_t, packet::PacketBurst&&) {});
+      config, [&](std::uint32_t, packet::PacketBurst&&) {});
   injector.stall_worker(0);
   ASSERT_TRUE(eventually([&] { return injector.stalled_threads() == 1; }));
   std::size_t accepted = 0;
@@ -411,8 +380,7 @@ TEST(Overload, DescribeStatsExposesPerWorkerHealth) {
   exec::DatapathExecutorConfig config;
   config.workers = 2;
   exec::DatapathExecutor executor(
-      config,
-      [&](exec::WorkerContext&, std::uint32_t, packet::PacketBurst&&) {});
+      config, [&](std::uint32_t, packet::PacketBurst&&) {});
   packet::PacketBurst burst;
   for (int i = 0; i < 16; ++i) burst.push_back(make_udp(i, 1000));
   executor.submit_burst(0, std::move(burst));
@@ -427,8 +395,7 @@ TEST(Overload, DescribeStatsExposesPerWorkerHealth) {
     const json::Object& obj = w.as_object();
     for (const char* key :
          {"heartbeat", "occupancy", "processed", "ingress_drops",
-          "shed_bulk", "shed_control", "stalls", "restarts",
-          "handoff_drops"}) {
+          "shed_bulk", "shed_control", "stalls", "restarts"}) {
       EXPECT_TRUE(obj.contains(key)) << "missing key " << key;
     }
   }

@@ -1,4 +1,4 @@
-// Sharded-datapath tests: the SPSC handoff ring, the RSS hash contract,
+// Sharded-datapath tests: the SPSC ingress ring, the RSS hash contract,
 // worker-slot identity, the DatapathExecutor run-to-completion loop, and
 // multi-worker runs of the stateful NFs (LSI classify, IPsec encap with a
 // shared tunnel, NAT port slices) plus the UniversalNode wiring.
@@ -228,8 +228,7 @@ TEST(DatapathExecutor, ProcessesEveryFrameExactlyOnce) {
   exec::DatapathExecutorConfig config;
   config.workers = 4;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext&, std::uint32_t,
-                  packet::PacketBurst&& burst) {
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
         seen.fetch_add(burst.size(), std::memory_order_relaxed);
       });
   constexpr std::size_t kFrames = 512;
@@ -256,14 +255,13 @@ TEST(DatapathExecutor, FlowsStickToOneWorker) {
   exec::DatapathExecutorConfig config;
   config.workers = 4;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext& ctx, std::uint32_t,
-                  packet::PacketBurst&& burst) {
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
         for (const auto& frame : burst) {
           auto eth = packet::parse_ethernet(frame.data());
           auto tuple = packet::extract_five_tuple(
               frame.data().subspan(eth->wire_size()));
           std::lock_guard<std::mutex> lock(mu);
-          flow_workers[tuple->src_port].insert(ctx.index());
+          flow_workers[tuple->src_port].insert(exec::current_worker_slot() - 1);
         }
       });
   packet::PacketBurst burst;
@@ -285,14 +283,14 @@ TEST(DatapathExecutor, FlowsStickToOneWorker) {
 }
 
 TEST(DatapathExecutor, PipelineRunsOnRegisteredWorkerSlot) {
+  constexpr std::size_t kWorkers = 2;
   std::atomic<bool> slot_ok{true};
   exec::DatapathExecutorConfig config;
-  config.workers = 2;
+  config.workers = kWorkers;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext& ctx, std::uint32_t,
-                  packet::PacketBurst&&) {
-        if (exec::current_worker_slot() != ctx.slot()) slot_ok = false;
-        if (ctx.slot() != ctx.index() + 1) slot_ok = false;
+      config, [&](std::uint32_t, packet::PacketBurst&&) {
+        const std::size_t slot = exec::current_worker_slot();
+        if (slot < 1 || slot > kWorkers) slot_ok = false;
       });
   packet::PacketBurst burst;
   for (std::uint32_t i = 0; i < 64; ++i) {
@@ -303,53 +301,13 @@ TEST(DatapathExecutor, PipelineRunsOnRegisteredWorkerSlot) {
   EXPECT_TRUE(slot_ok.load());
 }
 
-TEST(DatapathExecutor, HandoffMovesFrameToTargetWorker) {
-  constexpr std::uint32_t kIngressTag = 1;
-  constexpr std::uint32_t kHandoffTag = 2;
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> hops;  // (from, at)
-  exec::DatapathExecutorConfig config;
-  config.workers = 3;
-  exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext& ctx, std::uint32_t tag,
-                  packet::PacketBurst&& burst) {
-        for (auto& frame : burst) {
-          if (tag == kIngressTag) {
-            const std::size_t target =
-                (ctx.index() + 1) % ctx.worker_count();
-            EXPECT_TRUE(
-                ctx.handoff(target, kHandoffTag, std::move(frame)));
-          } else {
-            std::lock_guard<std::mutex> lock(mu);
-            hops.emplace_back(tag, ctx.index());
-          }
-        }
-      });
-  packet::PacketBurst burst;
-  for (std::uint32_t i = 0; i < 96; ++i) {
-    burst.push_back(make_udp(i, static_cast<std::uint16_t>(4000 + i)));
-  }
-  executor.submit_burst(kIngressTag, std::move(burst));
-  executor.drain();
-  EXPECT_EQ(hops.size(), 96u);
-  for (const auto& [tag, at] : hops) EXPECT_EQ(tag, kHandoffTag);
-  std::uint64_t out = 0, in = 0;
-  for (std::size_t w = 0; w < executor.worker_count(); ++w) {
-    out += executor.worker_stats(w).handoff_out;
-    in += executor.worker_stats(w).handoff_in;
-  }
-  EXPECT_EQ(out, 96u);
-  EXPECT_EQ(in, 96u);
-}
-
 TEST(DatapathExecutor, SubmitToPinsFrameToChosenWorker) {
   std::atomic<std::uint64_t> on_target{0};
   exec::DatapathExecutorConfig config;
   config.workers = 4;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext& ctx, std::uint32_t,
-                  packet::PacketBurst&& burst) {
-        if (ctx.index() == 2) on_target += burst.size();
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
+        if (exec::current_worker_slot() - 1 == 2) on_target += burst.size();
       });
   for (std::uint32_t i = 0; i < 32; ++i) {
     EXPECT_TRUE(executor.submit_to(2, 0, make_udp(i, 5000)));
@@ -390,8 +348,7 @@ TEST(ShardedDatapath, LsiClassifyFromFourWorkers) {
   exec::DatapathExecutorConfig config;
   config.workers = 4;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext&, std::uint32_t tag,
-                  packet::PacketBurst&& burst) {
+      config, [&](std::uint32_t tag, packet::PacketBurst&& burst) {
         lsi.receive_burst(static_cast<nfswitch::PortId>(tag),
                           std::move(burst));
       });
@@ -444,8 +401,7 @@ TEST(ShardedDatapath, SharedTunnelClaimsUniqueEspSequences) {
   exec::DatapathExecutorConfig config;
   config.workers = 4;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext&, std::uint32_t,
-                  packet::PacketBurst&& burst) {
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
         auto outs = initiator.process_burst(nnf::kDefaultContext, 0, 0,
                                             std::move(burst));
         std::lock_guard<std::mutex> lock(mu);
@@ -499,8 +455,7 @@ TEST(ShardedDatapath, RekeyUnderTrafficLosesNothing) {
   exec::DatapathExecutorConfig config;
   config.workers = 4;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext&, std::uint32_t,
-                  packet::PacketBurst&& burst) {
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
         auto outs = initiator.process_burst(nnf::kDefaultContext, 0, 0,
                                             std::move(burst));
         out_frames.fetch_add(outs.size(), std::memory_order_relaxed);
@@ -553,8 +508,7 @@ TEST(ShardedDatapath, NatWorkersAllocateFromDisjointSlices) {
   exec::DatapathExecutorConfig config;
   config.workers = 4;
   exec::DatapathExecutor executor(
-      config, [&](exec::WorkerContext&, std::uint32_t,
-                  packet::PacketBurst&& burst) {
+      config, [&](std::uint32_t, packet::PacketBurst&& burst) {
         auto outs = nat.process_burst(nnf::kDefaultContext, 0, 0,
                                       std::move(burst));
         std::lock_guard<std::mutex> lock(mu);

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "packet/flow_key.hpp"
-#include "sim/link.hpp"
+#include "sim/service_station.hpp"
 #include "traffic/measure.hpp"
 #include "traffic/sink.hpp"
 #include "traffic/source.hpp"
