@@ -1,9 +1,9 @@
-// GenericVnfDriver: shared implementation of the VM, Docker and DPDK
-// drivers. The three technologies differ only in their BackendCost
-// constants, RAM overhead and image flavor — exactly the knobs the virt
-// models expose — so one implementation parameterized by BackendKind
-// covers them. Each concrete driver (vm_driver/docker_driver/dpdk_driver)
-// pins the kind and the Figure 1 driver name.
+// GenericVnfDriver: the VM, Docker and DPDK drivers. The three
+// technologies differ only in their BackendCost constants, RAM overhead
+// and image flavor — exactly the knobs the virt models expose — so one
+// implementation parameterized by BackendKind covers them. The node
+// constructs one per configured backend with its Figure 1 driver name
+// ("libvirt", "docker", "dpdk").
 #pragma once
 
 #include <map>

@@ -1,9 +1,7 @@
 #include "core/node.hpp"
 
-#include "compute/docker_driver.hpp"
-#include "compute/dpdk_driver.hpp"
+#include "compute/generic_driver.hpp"
 #include "compute/native_driver.hpp"
-#include "compute/vm_driver.hpp"
 #include "nnf/translator.hpp"
 #include "packet/mbuf.hpp"
 
@@ -38,22 +36,25 @@ UniversalNode::UniversalNode(UniversalNodeConfig config)
   native_env.ram = &resources_.ram();
 
   for (virt::BackendKind kind : config.backends) {
+    // VM, Docker and DPDK share one driver; the name is its Figure 1 box.
+    auto register_generic = [&](std::string name) {
+      (void)compute_.register_driver(
+          std::make_unique<compute::GenericVnfDriver>(kind, std::move(name),
+                                                      generic_env));
+    };
     switch (kind) {
       case virt::BackendKind::kNative:
         (void)compute_.register_driver(
             std::make_unique<compute::NativeDriver>(native_env));
         break;
       case virt::BackendKind::kDocker:
-        (void)compute_.register_driver(
-            std::make_unique<compute::DockerDriver>(generic_env));
+        register_generic("docker");
         break;
       case virt::BackendKind::kDpdk:
-        (void)compute_.register_driver(
-            std::make_unique<compute::DpdkDriver>(generic_env));
+        register_generic("dpdk");
         break;
       case virt::BackendKind::kVm:
-        (void)compute_.register_driver(
-            std::make_unique<compute::VmDriver>(generic_env));
+        register_generic("libvirt");
         break;
     }
   }
@@ -65,7 +66,6 @@ UniversalNode::UniversalNode(UniversalNodeConfig config)
   if (config.datapath_workers > 0) {
     exec::DatapathExecutorConfig dp;
     dp.workers = config.datapath_workers;
-    dp.shed_enabled = config.datapath_shed_enabled;
     // The pipeline tag is the LSI-0 ingress PortId; each worker runs the
     // full classify -> NNF -> egress chain to completion on its core.
     executor_ = std::make_unique<exec::DatapathExecutor>(

@@ -49,10 +49,6 @@ struct UniversalNodeConfig {
   /// egress peers / sim-bound NF stations may then be invoked from
   /// worker threads (sim-bound work bounces via Simulator::post()).
   std::size_t datapath_workers = 0;
-  /// Priority-aware load shedding at the datapath ingress, with the
-  /// executor's ring-capacity watermarks (docs/datapath.md §7). Only
-  /// meaningful with datapath_workers > 0.
-  bool datapath_shed_enabled = false;
   /// Start the worker watchdog with its 200 ms stall threshold (docs/
   /// datapath.md §7). Only meaningful with datapath_workers > 0.
   bool datapath_watchdog = false;

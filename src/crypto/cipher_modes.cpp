@@ -11,112 +11,6 @@
 namespace nnfv::crypto {
 
 using util::invalid_argument;
-using util::Result;
-
-// All bulk block work dispatches through the active CryptoBackend; this
-// file keeps the argument checking and padding policy. Backends are
-// bit-identical, so callers never see a behavioural difference.
-
-Result<std::vector<std::uint8_t>> aes_cbc_encrypt(
-    const Aes& aes, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> plaintext) {
-  if (iv.size() != Aes::kBlockSize) {
-    return invalid_argument("CBC IV must be 16 bytes");
-  }
-  const std::size_t pad =
-      Aes::kBlockSize - plaintext.size() % Aes::kBlockSize;  // 1..16
-  std::vector<std::uint8_t> padded(plaintext.begin(), plaintext.end());
-  padded.insert(padded.end(), pad, static_cast<std::uint8_t>(pad));
-
-  std::vector<std::uint8_t> out(padded.size());
-  active_backend().cbc_encrypt(aes, iv.data(), padded.data(), out.data(),
-                               padded.size());
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> aes_cbc_decrypt(
-    const Aes& aes, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> ciphertext) {
-  if (iv.size() != Aes::kBlockSize) {
-    return invalid_argument("CBC IV must be 16 bytes");
-  }
-  if (ciphertext.empty() || ciphertext.size() % Aes::kBlockSize != 0) {
-    return invalid_argument("CBC ciphertext must be a positive multiple of 16");
-  }
-  std::vector<std::uint8_t> out(ciphertext.size());
-  active_backend().cbc_decrypt(aes, iv.data(), ciphertext.data(), out.data(),
-                               ciphertext.size());
-  const std::uint8_t pad = out.back();
-  if (pad == 0 || pad > Aes::kBlockSize || pad > out.size()) {
-    return invalid_argument("bad PKCS#7 padding");
-  }
-  for (std::size_t i = out.size() - pad; i < out.size(); ++i) {
-    if (out[i] != pad) return invalid_argument("bad PKCS#7 padding");
-  }
-  out.resize(out.size() - pad);
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> aes_cbc_encrypt_raw(
-    const Aes& aes, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> plaintext) {
-  if (iv.size() != Aes::kBlockSize) {
-    return invalid_argument("CBC IV must be 16 bytes");
-  }
-  if (plaintext.size() % Aes::kBlockSize != 0) {
-    return invalid_argument("raw CBC plaintext must be a multiple of 16");
-  }
-  std::vector<std::uint8_t> out(plaintext.size());
-  active_backend().cbc_encrypt(aes, iv.data(), plaintext.data(), out.data(),
-                               plaintext.size());
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> aes_cbc_decrypt_raw(
-    const Aes& aes, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> ciphertext) {
-  if (iv.size() != Aes::kBlockSize) {
-    return invalid_argument("CBC IV must be 16 bytes");
-  }
-  if (ciphertext.empty() || ciphertext.size() % Aes::kBlockSize != 0) {
-    return invalid_argument("raw CBC ciphertext must be a positive multiple of 16");
-  }
-  std::vector<std::uint8_t> out(ciphertext.size());
-  active_backend().cbc_decrypt(aes, iv.data(), ciphertext.data(), out.data(),
-                               ciphertext.size());
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> aes_ctr_crypt(
-    const Aes& aes, std::span<const std::uint8_t> counter_block,
-    std::span<const std::uint8_t> data) {
-  if (counter_block.size() != Aes::kBlockSize) {
-    return invalid_argument("CTR counter block must be 16 bytes");
-  }
-  const std::size_t nblocks =
-      (data.size() + Aes::kBlockSize - 1) / Aes::kBlockSize;
-  std::vector<std::uint8_t> out(data.size());
-  if (nblocks == 0) return out;
-
-  // Materialise every counter, then one backend call generates the whole
-  // keystream — AES-NI runs the independent blocks 4 deep.
-  std::vector<std::uint8_t> keystream(nblocks * Aes::kBlockSize);
-  std::uint8_t counter[Aes::kBlockSize];
-  std::memcpy(counter, counter_block.data(), Aes::kBlockSize);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    std::memcpy(keystream.data() + b * Aes::kBlockSize, counter,
-                Aes::kBlockSize);
-    for (int i = Aes::kBlockSize - 1; i >= 0; --i) {  // big-endian increment
-      if (++counter[i] != 0) break;
-    }
-  }
-  active_backend().aes_encrypt_blocks(aes, keystream.data(), keystream.data(),
-                                      nblocks);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>(data[i] ^ keystream[i]);
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // AES-GCM
@@ -234,62 +128,72 @@ bool GcmContext::open(std::span<const std::uint8_t> iv,
   return true;
 }
 
+bool GcmContext::crypt_mb_group(const GcmMbOp* const* ops, std::size_t n,
+                                bool encrypt,
+                                std::uint8_t (*tags)[kTagSize]) const {
+  constexpr std::size_t kGroup = CryptoBackend::kMaxMbLanes;
+  std::uint8_t j0[kGroup][16];
+  std::uint8_t counter[kGroup][16];
+  std::uint8_t s[kGroup][16];
+  std::uint8_t aadblk[kGroup][16];
+  std::uint8_t lenblk[kGroup][16];
+  GcmMbLane lanes[kGroup];
+  for (std::size_t i = 0; i < n; ++i) {
+    const GcmMbOp& op = *ops[i];
+    // J0 = IV || 0^31 || 1; the payload keystream starts at inc32(J0).
+    std::memcpy(j0[i], op.iv.data(), kIvSize);
+    util::store_be32(j0[i] + 12, 1);
+    std::memcpy(counter[i], j0[i], 16);
+    util::store_be32(counter[i] + 12, 2);
+    std::memset(s[i], 0, 16);
+    lanes[i] = GcmMbLane{counter[i], op.input.data(), op.output,
+                         op.input.size(), s[i], encrypt};
+    // The AAD (<= 16 bytes for RFC 4106 ESP: SPI + sequence number) and
+    // the lengths block ride into the batched kernel as the lane's
+    // pre/post GHASH blocks — folded inside its aggregated reductions
+    // instead of costing two ghash() round trips per lane.
+    if (op.aad.size() <= 16) {
+      if (!op.aad.empty()) {
+        std::memset(aadblk[i], 0, 16);
+        std::memcpy(aadblk[i], op.aad.data(), op.aad.size());
+        lanes[i].pre_block = aadblk[i];
+      }
+    } else {
+      ghash_absorb_padded(op.aad, s[i]);
+    }
+    util::store_be64(lenblk[i], static_cast<std::uint64_t>(op.aad.size()) * 8);
+    util::store_be64(lenblk[i] + 8,
+                     static_cast<std::uint64_t>(op.input.size()) * 8);
+    lanes[i].post_block = lenblk[i];
+  }
+  const CryptoBackend& backend = active_backend();
+  if (!backend.gcm_crypt_mb(aes_, hkey(), lanes, n)) return false;
+  // One AES call masks every lane's tag: T_i = E_K(J0_i) ^ S_i.
+  backend.aes_encrypt_blocks(aes_, j0[0], tags[0], n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t b = 0; b < kTagSize; ++b) tags[i][b] ^= s[i][b];
+  }
+  return true;
+}
+
 util::Status GcmContext::seal_mb(const GcmMbOp* ops, std::size_t nops) const {
   for (std::size_t i = 0; i < nops; ++i) {
     if (ops[i].iv.size() != kIvSize) {
       return invalid_argument("GCM IV must be 12 bytes");
     }
   }
-  const CryptoBackend& backend = active_backend();
-  const GhashKey& key = hkey();
   constexpr std::size_t kGroup = CryptoBackend::kMaxMbLanes;
   for (std::size_t base = 0; base < nops; base += kGroup) {
     const std::size_t n = std::min(kGroup, nops - base);
-    std::uint8_t j0[kGroup][16];
-    std::uint8_t counter[kGroup][16];
-    std::uint8_t s[kGroup][16];
-    std::uint8_t aadblk[kGroup][16];
-    std::uint8_t lenblk[kGroup][16];
-    GcmMbLane lanes[kGroup];
-    for (std::size_t i = 0; i < n; ++i) {
-      const GcmMbOp& op = ops[base + i];
-      std::memcpy(j0[i], op.iv.data(), kIvSize);
-      util::store_be32(j0[i] + 12, 1);
-      std::memcpy(counter[i], j0[i], 16);
-      util::store_be32(counter[i] + 12, 2);
-      std::memset(s[i], 0, 16);
-      lanes[i] = GcmMbLane{counter[i], op.input.data(), op.output,
-                           op.input.size(), s[i], /*encrypt=*/true};
-      // The AAD (<= 16 bytes for RFC 4106 ESP: SPI + sequence number)
-      // and the lengths block ride into the batched kernel as the
-      // lane's pre/post GHASH blocks — folded inside its aggregated
-      // reductions instead of costing two ghash() round trips per lane.
-      if (op.aad.size() <= 16) {
-        if (!op.aad.empty()) {
-          std::memset(aadblk[i], 0, 16);
-          std::memcpy(aadblk[i], op.aad.data(), op.aad.size());
-          lanes[i].pre_block = aadblk[i];
-        }
-      } else {
-        ghash_absorb_padded(op.aad, s[i]);
-      }
-      util::store_be64(lenblk[i], static_cast<std::uint64_t>(op.aad.size()) * 8);
-      util::store_be64(lenblk[i] + 8,
-                       static_cast<std::uint64_t>(op.input.size()) * 8);
-      lanes[i].post_block = lenblk[i];
-    }
+    const GcmMbOp* group[kGroup];
+    for (std::size_t i = 0; i < n; ++i) group[i] = &ops[base + i];
+    std::uint8_t tags[kGroup][kTagSize];
     // All lanes encrypt, n is in range: the batched kernel cannot refuse.
-    if (!backend.gcm_crypt_mb(aes_, key, lanes, n)) {
+    if (!crypt_mb_group(group, n, /*encrypt=*/true, tags)) {
       return util::internal_error("gcm_crypt_mb rejected a uniform batch");
     }
-    // One AES call masks every lane's tag: T_i = E_K(J0_i) ^ S_i.
-    std::uint8_t ekj0[kGroup][16];
-    backend.aes_encrypt_blocks(aes_, j0[0], ekj0[0], n);
     for (std::size_t i = 0; i < n; ++i) {
-      const GcmMbOp& op = ops[base + i];
-      for (std::size_t b = 0; b < kTagSize; ++b) {
-        op.tag[b] = static_cast<std::uint8_t>(ekj0[i][b] ^ s[i][b]);
-      }
+      std::memcpy(group[i]->tag, tags[i], kTagSize);
     }
   }
   return util::Status::ok();
@@ -297,73 +201,37 @@ util::Status GcmContext::seal_mb(const GcmMbOp* ops, std::size_t nops) const {
 
 bool GcmContext::open_mb(const GcmMbOp* ops, std::size_t nops,
                          bool* ok) const {
-  const CryptoBackend& backend = active_backend();
-  const GhashKey& key = hkey();
   constexpr std::size_t kGroup = CryptoBackend::kMaxMbLanes;
   bool all_ok = true;
   for (std::size_t base = 0; base < nops; base += kGroup) {
     const std::size_t n = std::min(kGroup, nops - base);
-    std::uint8_t j0[kGroup][16];
-    std::uint8_t counter[kGroup][16];
-    std::uint8_t s[kGroup][16];
-    std::uint8_t aadblk[kGroup][16];
-    std::uint8_t lenblk[kGroup][16];
-    GcmMbLane lanes[kGroup];
-    std::size_t nlanes = 0;
+    // A lane with a malformed IV fails on its own; the rest of the group
+    // still runs.
+    const GcmMbOp* group[kGroup];
     std::size_t lane_op[kGroup];
+    std::size_t nlanes = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const GcmMbOp& op = ops[base + i];
-      if (op.iv.size() != kIvSize) {
+      if (ops[base + i].iv.size() != kIvSize) {
         ok[base + i] = false;
         all_ok = false;
         continue;
       }
-      const std::size_t l = nlanes++;
-      lane_op[l] = base + i;
-      std::memcpy(j0[l], op.iv.data(), kIvSize);
-      util::store_be32(j0[l] + 12, 1);
-      std::memcpy(counter[l], j0[l], 16);
-      util::store_be32(counter[l] + 12, 2);
-      std::memset(s[l], 0, 16);
-      lanes[l] = GcmMbLane{counter[l], op.input.data(), op.output,
-                           op.input.size(), s[l], /*encrypt=*/false};
-      // Same pre/post folding as seal_mb: short AAD and the lengths
-      // block travel inside the batched kernel pass.
-      if (op.aad.size() <= 16) {
-        if (!op.aad.empty()) {
-          std::memset(aadblk[l], 0, 16);
-          std::memcpy(aadblk[l], op.aad.data(), op.aad.size());
-          lanes[l].pre_block = aadblk[l];
-        }
-      } else {
-        ghash_absorb_padded(op.aad, s[l]);
-      }
-      util::store_be64(lenblk[l], static_cast<std::uint64_t>(op.aad.size()) * 8);
-      util::store_be64(lenblk[l] + 8,
-                       static_cast<std::uint64_t>(op.input.size()) * 8);
-      lanes[l].post_block = lenblk[l];
+      lane_op[nlanes] = base + i;
+      group[nlanes++] = &ops[base + i];
     }
-    if (nlanes > 0) {
-      if (!backend.gcm_crypt_mb(aes_, key, lanes, nlanes)) {
-        return false;
-      }
-      std::uint8_t ekj0[kGroup][16];
-      backend.aes_encrypt_blocks(aes_, j0[0], ekj0[0], nlanes);
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        const GcmMbOp& op = ops[lane_op[l]];
-        std::uint8_t expected[kTagSize];
-        for (std::size_t b = 0; b < kTagSize; ++b) {
-          expected[b] = static_cast<std::uint8_t>(ekj0[l][b] ^ s[l][b]);
-        }
-        const bool good = constant_time_equal({expected, kTagSize},
-                                              {op.tag, kTagSize});
-        ok[lane_op[l]] = good;
-        if (!good) {
-          if (!op.input.empty()) {
-            std::memset(op.output, 0, op.input.size());
-          }
-          all_ok = false;
-        }
+    if (nlanes == 0) continue;
+    std::uint8_t expected[kGroup][kTagSize];
+    if (!crypt_mb_group(group, nlanes, /*encrypt=*/false, expected)) {
+      return false;
+    }
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      const GcmMbOp& op = *group[l];
+      const bool good = constant_time_equal({expected[l], kTagSize},
+                                            {op.tag, kTagSize});
+      ok[lane_op[l]] = good;
+      if (!good) {
+        if (!op.input.empty()) std::memset(op.output, 0, op.input.size());
+        all_ok = false;
       }
     }
   }

@@ -1,12 +1,12 @@
-// Block cipher modes used by the ESP datapath: AES-GCM (SP 800-38D, the
-// RFC 4106 ESP default), CBC with PKCS#7 padding (RFC 3602 AES-CBC for
-// ESP) and CTR (RFC 3686).
+// AES-GCM (SP 800-38D), the RFC 4106 ESP default. Raw CBC for the
+// cbc-hmac transform has no wrapper here: ESP pads per RFC 4303 itself,
+// so IpsecEndpoint calls CryptoBackend::cbc_encrypt/cbc_decrypt in place
+// on the frame.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "crypto/aes.hpp"
 #include "crypto/backend.hpp"
@@ -102,40 +102,20 @@ class GcmContext {
   void ghash_lengths(std::size_t aad_len, std::size_t ct_len,
                      std::uint8_t state[16]) const;
 
+  /// One batched group for seal_mb/open_mb: `n` <= kMaxMbLanes lanes,
+  /// every IV already checked to be kIvSize bytes. Sets up each lane (J0,
+  /// first payload counter, zeroed GHASH state, the AAD as the kernel's
+  /// pre-block — absorbed up front when longer than one block — and the
+  /// lengths post-block), runs one gcm_crypt_mb pass and writes
+  /// tags[i] = E_K(J0_i) ^ S_i. False when the kernel refuses the batch.
+  bool crypt_mb_group(const GcmMbOp* const* ops, std::size_t n, bool encrypt,
+                      std::uint8_t (*tags)[kTagSize]) const;
+
   Aes aes_;
   mutable GhashKey hkey_;
   /// Serialises the lazy backend-table fill in hkey(); held only on the
   /// miss path (first use per backend), never per packet.
   mutable util::Mutex hkey_init_mutex_;
 };
-
-/// CBC-encrypts `plaintext` with PKCS#7 padding. `iv` must be 16 bytes.
-/// Output length = plaintext length rounded up to the next multiple of 16
-/// (always at least one padding byte).
-util::Result<std::vector<std::uint8_t>> aes_cbc_encrypt(
-    const Aes& aes, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> plaintext);
-
-/// Inverse of aes_cbc_encrypt; rejects bad lengths and bad padding.
-util::Result<std::vector<std::uint8_t>> aes_cbc_decrypt(
-    const Aes& aes, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> ciphertext);
-
-/// CTR keystream XOR (encryption == decryption). `counter_block` is the
-/// initial 16-byte counter; incremented big-endian per block.
-util::Result<std::vector<std::uint8_t>> aes_ctr_crypt(
-    const Aes& aes, std::span<const std::uint8_t> counter_block,
-    std::span<const std::uint8_t> data);
-
-/// Raw CBC without padding — the caller guarantees data.size() % 16 == 0.
-/// ESP manages its own trailer padding (RFC 4303 §2.4), so the IPsec NF
-/// uses these instead of the PKCS#7 variants.
-util::Result<std::vector<std::uint8_t>> aes_cbc_encrypt_raw(
-    const Aes& aes, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> plaintext);
-
-util::Result<std::vector<std::uint8_t>> aes_cbc_decrypt_raw(
-    const Aes& aes, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> ciphertext);
 
 }  // namespace nnfv::crypto

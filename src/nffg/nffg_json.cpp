@@ -36,29 +36,6 @@ Result<std::string> require_string(const json::Value& obj,
   return v->as_string();
 }
 
-/// "10.0.0.0/8" or "10.0.0.1".
-util::Status parse_cidr_field(const std::string& text,
-                              std::optional<packet::Ipv4Address>& addr,
-                              std::uint8_t& prefix) {
-  const auto slash = text.find('/');
-  const std::string ip_part =
-      slash == std::string::npos ? text : text.substr(0, slash);
-  auto parsed = packet::Ipv4Address::parse(ip_part);
-  if (!parsed.has_value()) {
-    return invalid_argument("bad IPv4 address '" + text + "'");
-  }
-  addr = *parsed;
-  prefix = 32;
-  if (slash != std::string::npos) {
-    std::uint64_t p = 0;
-    if (!util::parse_u64(text.substr(slash + 1), p) || p > 32) {
-      return invalid_argument("bad prefix in '" + text + "'");
-    }
-    prefix = static_cast<std::uint8_t>(p);
-  }
-  return util::Status::ok();
-}
-
 Result<NfNode> parse_nf(const json::Value& v) {
   if (!v.is_object()) return invalid_argument("VNF entry must be an object");
   NfNode nf;
@@ -149,13 +126,13 @@ Result<Rule> parse_rule(const json::Value& v) {
   }
   if (const json::Value* s = match->get("ip_src"); s != nullptr) {
     if (!s->is_string()) return invalid_argument("ip_src must be a string");
-    NNFV_RETURN_IF_ERROR(parse_cidr_field(s->as_string(), rule.match.ip_src,
-                                          rule.match.ip_src_prefix));
+    NNFV_RETURN_IF_ERROR(packet::parse_ipv4_prefix(
+        s->as_string(), rule.match.ip_src, rule.match.ip_src_prefix));
   }
   if (const json::Value* d = match->get("ip_dst"); d != nullptr) {
     if (!d->is_string()) return invalid_argument("ip_dst must be a string");
-    NNFV_RETURN_IF_ERROR(parse_cidr_field(d->as_string(), rule.match.ip_dst,
-                                          rule.match.ip_dst_prefix));
+    NNFV_RETURN_IF_ERROR(packet::parse_ipv4_prefix(
+        d->as_string(), rule.match.ip_dst, rule.match.ip_dst_prefix));
   }
   if (match->get("ip_proto") != nullptr) {
     auto proto = require_uint(*match, "ip_proto", 255);

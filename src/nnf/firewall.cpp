@@ -23,23 +23,7 @@ util::Status parse_cidr(const std::string& text,
     addr = std::nullopt;
     return util::Status::ok();
   }
-  const auto slash = text.find('/');
-  const std::string ip_part =
-      slash == std::string::npos ? text : text.substr(0, slash);
-  auto parsed = packet::Ipv4Address::parse(ip_part);
-  if (!parsed.has_value()) {
-    return util::invalid_argument("bad address '" + text + "'");
-  }
-  addr = *parsed;
-  prefix = 32;
-  if (slash != std::string::npos) {
-    std::uint64_t p = 0;
-    if (!util::parse_u64(text.substr(slash + 1), p) || p > 32) {
-      return util::invalid_argument("bad prefix in '" + text + "'");
-    }
-    prefix = static_cast<std::uint8_t>(p);
-  }
-  return util::Status::ok();
+  return packet::parse_ipv4_prefix(text, addr, prefix);
 }
 
 }  // namespace

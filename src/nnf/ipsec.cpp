@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "crypto/backend.hpp"
 #include "crypto/cipher_modes.hpp"
 #include "crypto/hmac.hpp"
 #include "exec/priority.hpp"
@@ -74,15 +75,14 @@ util::Status parse_count(const std::string& key, const std::string& value,
   return util::Status::ok();
 }
 
-/// Deterministic unpredictable IV: AES-encrypt the (SPI, seq) block.
-std::array<std::uint8_t, 16> derive_iv(const crypto::Aes& aes,
-                                       std::uint32_t spi, std::uint64_t seq) {
+/// Deterministic unpredictable CBC IV: AES-encrypt the (SPI, seq) block
+/// straight into the frame's IV slot.
+void derive_iv(const crypto::Aes& aes, std::uint32_t spi, std::uint64_t seq,
+               std::uint8_t iv[16]) {
   std::uint8_t block[16] = {};
   util::store_be32(block, spi);
   util::store_be64(block + 8, seq);
-  std::array<std::uint8_t, 16> iv{};
-  aes.encrypt_block(block, iv.data());
-  return iv;
+  aes.encrypt_block(block, iv);
 }
 
 /// RFC 4304 Appendix A seq-hi recovery: given the 32-bit seq-lo off the
@@ -624,9 +624,14 @@ std::optional<IpsecEndpoint::EspIngress> IpsecEndpoint::parse_esp_ingress(
 }
 
 void IpsecEndpoint::emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
-                               packet::PacketBuffer&& inner,
+                               packet::PacketBuffer&& frame,
+                               std::size_t pt_off, std::size_t pt_len,
                                std::vector<NfOutput>& out) {
-  const auto plaintext = inner.data();
+  // Decap is a pure view adjustment: the outer headers + ESP + IV become
+  // headroom, the ICV falls off the tail.
+  frame.pull_front(pt_off);
+  frame.trim(pt_len);
+  const auto plaintext = frame.data();
   if (plaintext.size() < 2) {
     ++sa.malformed;
     ++stats_shard().malformed;
@@ -652,8 +657,8 @@ void IpsecEndpoint::emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
   }
   // Strip the trailer and rebuild the Ethernet header in the headroom
   // the outer headers vacated — pure offset adjustments, no copy.
-  inner.trim(plaintext.size() - 2 - pad_len);
-  auto ethspan = inner.push_front(packet::kEthernetHeaderSize);
+  frame.trim(plaintext.size() - 2 - pad_len);
+  auto ethspan = frame.push_front(packet::kEthernetHeaderSize);
   packet::EthernetHeader inner_eth{.dst = tunnel.inner_dst_mac,
                                    .src = tunnel.inner_src_mac,
                                    .ether_type = packet::kEtherTypeIpv4,
@@ -661,82 +666,130 @@ void IpsecEndpoint::emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
   packet::write_ethernet(inner_eth, ethspan);
 
   ++sa.packets;
-  sa.bytes += inner.size();
+  sa.bytes += frame.size();
   ++stats_shard().decapsulated;
-  out.push_back(NfOutput{0, std::move(inner)});
+  out.push_back(NfOutput{0, std::move(frame)});
 }
 
-void IpsecEndpoint::encapsulate_cbc(Tunnel& tunnel, SecurityAssociation& sa,
-                                    packet::PacketBuffer&& frame,
-                                    std::vector<NfOutput>& out) {
-  // The frame is rebuilt in place; a flooded replica goes private first.
+// Both ESP transforms share one tunnel-mode frame layout, rebuilt inside
+// the input frame's own pooled segment:
+//
+//   Eth | outer IPv4 | ESP | IV | ciphertext | ICV(16)
+//
+// where the ciphertext covers inner IP packet | pad | pad_len |
+// next_header. "gcm" (RFC 4106): the 8-byte explicit IV is the 64-bit
+// sequence counter; the nonce is (salt ^ SPI)(4) || IV(8) — a deliberate
+// deviation from RFC 4106's plain salt||IV, needed because both
+// directions share one enc_key here (see gcm_nonce(); a conforming peer
+// with per-SA keymat would not interoperate); the AAD is the ESP header,
+// and encryption + authentication happen in one in-place seal whose CTR
+// and GHASH pipeline across blocks (and, with several lanes, across
+// packets) on the hardware backends. "cbc-hmac" (RFC 3602 + 4868): a
+// 16-byte IV derived from (SPI, seq), the payload padded to whole AES
+// blocks and CBC-encrypted in place, then HMAC-SHA256-128 over ESP
+// header | IV | ciphertext.
+bool IpsecEndpoint::encapsulate_prepare(Tunnel& tunnel,
+                                        SecurityAssociation& sa,
+                                        packet::PacketBuffer&& frame,
+                                        EncapPrep& prep) {
+  // Headroom prepend + trailer append + in-place cipher pass rebuild the
+  // frame where it sits; a flooded replica must go private first.
   frame.unshare();
   auto inner = parse_inner_ipv4(frame);
-  if (!inner) return;
+  if (!inner) return false;
 
   // Claim this packet's sequence number atomically: workers sharing the
   // SA each get a unique value.
   const std::uint64_t seq = ++sa.seq;
   const std::size_t inner_size = inner->size();
 
-  // ESP trailer: pad so (inner + pad + 2) is a multiple of the block size;
-  // pad bytes are 1,2,3,... (RFC 4303 §2.4).
-  const std::size_t block = crypto::Aes::kBlockSize;
-  const std::size_t pad = (block - (inner_size + 2) % block) % block;
-  std::vector<std::uint8_t> plaintext(inner->begin(), inner->end());
+  // Reduce the view to the inner IP packet: drop the red-side Ethernet
+  // header and any Ethernet padding past total_length — pure offset
+  // adjustments on the pooled segment, the payload never moves.
+  const std::size_t eth_size =
+      static_cast<std::size_t>(inner->data() - frame.data().data());
+  frame.pull_front(eth_size);
+  frame.trim(inner_size);
+
+  // ESP trailer into the tailroom; pad bytes are 1,2,3,... (RFC 4303
+  // §2.4). CBC pads (payload | pad_len | next_header) to whole cipher
+  // blocks; GCM is a stream mode and only needs the 4-byte alignment.
+  const bool gcm = tunnel.transform == EspTransform::kGcm;
+  const std::size_t align = gcm ? 4 : crypto::Aes::kBlockSize;
+  const std::size_t pad = (align - (inner_size + 2) % align) % align;
+  const std::size_t pt_len = inner_size + pad + 2;
+  std::uint8_t* trailer = frame.push_back(pad + 2).data();
   for (std::size_t i = 1; i <= pad; ++i) {
-    plaintext.push_back(static_cast<std::uint8_t>(i));
+    trailer[i - 1] = static_cast<std::uint8_t>(i);
   }
-  plaintext.push_back(static_cast<std::uint8_t>(pad));
-  plaintext.push_back(4);  // next header: IPv4 (tunnel mode)
+  trailer[pad] = static_cast<std::uint8_t>(pad);
+  trailer[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
 
-  Keymat& keymat = *tunnel.keymat;
-  const auto iv = derive_iv(*keymat.cipher, sa.spi, seq);
-  auto ciphertext = crypto::aes_cbc_encrypt_raw(*keymat.cipher, iv, plaintext);
-  if (!ciphertext) {
-    ++stats_shard().malformed;
-    return;
-  }
-
-  // Reassemble Eth | outer IPv4 | ESP | IV | ciphertext | ICV into the
-  // input frame's own segment (inner bytes were staged into `plaintext`
-  // above — CBC is not length-preserving in place the way GCM is).
+  // Claim the headroom for Eth | outer IPv4 | ESP | IV (the red-side
+  // Ethernet header plus default headroom always covers it) and the
+  // tailroom for the ICV; the payload now sits where the cipher pass
+  // reads and writes it.
+  const std::size_t iv_size = gcm ? kGcmIvSize : kIvSize;
   const std::size_t esp_payload =
-      packet::kEspHeaderSize + kIvSize + ciphertext->size() + kIcvSize;
-  frame.reset();
-  auto buf = frame.push_back(kEspOffset + esp_payload);
+      packet::kEspHeaderSize + iv_size + pt_len + kIcvSize;
+  const std::size_t ct_off = kEspOffset + packet::kEspHeaderSize + iv_size;
+  frame.push_front(ct_off);
+  frame.push_back(kIcvSize);
+  auto buf = frame.data();
   write_outer_headers(tunnel, sa, seq, esp_payload, buf);
-  std::memcpy(buf.data() + kEspOffset + packet::kEspHeaderSize, iv.data(),
-              kIvSize);
-  std::memcpy(buf.data() + kEspOffset + packet::kEspHeaderSize + kIvSize,
-              ciphertext->data(), ciphertext->size());
+  std::uint8_t* iv = buf.data() + kEspOffset + packet::kEspHeaderSize;
+  const Keymat& keymat = *tunnel.keymat;
+  if (gcm) {
+    util::store_be64(iv, seq);
+    gcm_nonce(sa, keymat.salt, iv, prep.nonce);
+    // AAD: the ESP header, widened to SPI || seq-hi || seq-lo under ESN
+    // (without ESN the constructed bytes equal the wire header exactly).
+    prep.aad_len = esp_aad(sa, seq, prep.aad);
+  } else {
+    derive_iv(*keymat.cipher, sa.spi, seq, iv);
+  }
+  prep.sa = &sa;
+  prep.seq = seq;
+  prep.ct_off = ct_off;
+  prep.pt_len = pt_len;
+  prep.inner_size = inner_size;
+  prep.frame = std::move(frame);
+  return true;
+}
 
+void IpsecEndpoint::seal_cbc(const Keymat& keymat, EncapPrep& prep) {
+  std::uint8_t* esp = prep.frame.data().data() + kEspOffset;
+  std::uint8_t* ct = esp + packet::kEspHeaderSize + kIvSize;
+  crypto::active_backend().cbc_encrypt(*keymat.cipher,
+                                       esp + packet::kEspHeaderSize, ct, ct,
+                                       prep.pt_len);
   // ICV over ESP header + IV + ciphertext (RFC 4303 §2.8); with ESN the
   // 32-bit seq-hi is appended to the authenticated data but never
   // transmitted (RFC 4303 §2.2.1).
-  const std::size_t auth_len =
-      packet::kEspHeaderSize + kIvSize + ciphertext->size();
+  const std::size_t auth_len = packet::kEspHeaderSize + kIvSize + prep.pt_len;
   crypto::HmacSha256 hmac = *keymat.hmac_tmpl;
-  hmac.update(buf.subspan(kEspOffset, auth_len));
-  if (sa.esn) {
+  hmac.update({esp, auth_len});
+  if (prep.sa->esn) {
     std::uint8_t hi[4];
-    util::store_be32(hi, static_cast<std::uint32_t>(seq >> 32));
+    util::store_be32(hi, static_cast<std::uint32_t>(prep.seq >> 32));
     hmac.update(hi);
   }
   const auto icv = hmac.final();
-  std::memcpy(buf.data() + kEspOffset + auth_len, icv.data(), kIcvSize);
+  std::memcpy(esp + auth_len, icv.data(), kIcvSize);
+}
 
-  ++sa.packets;
-  sa.bytes += inner_size;
+void IpsecEndpoint::emit_outer(EncapPrep& prep, std::vector<NfOutput>& out) {
+  ++prep.sa->packets;
+  prep.sa->bytes += prep.inner_size;
   ++stats_shard().encapsulated;
-  out.push_back(NfOutput{1, std::move(frame)});
+  out.push_back(NfOutput{1, std::move(prep.frame)});
 }
 
 void IpsecEndpoint::decapsulate_cbc(Tunnel& tunnel, const EspIngress& ingress,
                                     packet::PacketBuffer&& frame,
                                     std::vector<NfOutput>& out) {
   SecurityAssociation& sa = *ingress.sa;
-  Keymat& keymat = *ingress.keymat;
+  const Keymat& keymat = *ingress.keymat;
   auto esp_area = ingress.esp_area;
 
   // Verify ICV first (constant time), then replay, then decrypt. Under
@@ -762,98 +815,22 @@ void IpsecEndpoint::decapsulate_cbc(Tunnel& tunnel, const EspIngress& ingress,
     ++stats_shard().replay_drops;
     return;
   }
-
-  auto iv = esp_area.subspan(packet::kEspHeaderSize, kIvSize);
-  auto ciphertext = esp_area.subspan(
-      packet::kEspHeaderSize + kIvSize,
-      auth_len - packet::kEspHeaderSize - kIvSize);
-  auto plaintext =
-      crypto::aes_cbc_decrypt_raw(*keymat.cipher, iv, ciphertext);
-  if (!plaintext) {
+  // The ciphertext length comes off the wire: a peer holding the keys
+  // can still tag one that is not whole cipher blocks.
+  const std::size_t ct_len = auth_len - packet::kEspHeaderSize - kIvSize;
+  if (ct_len == 0 || ct_len % crypto::Aes::kBlockSize != 0) {
     ++sa.malformed;
     ++stats_shard().malformed;
     return;
   }
-  // Rebuild the decrypted payload into the frame's own segment (the CBC
-  // helper stages through a vector); the vacated outer-header space
-  // becomes the headroom emit_inner prepends the Ethernet header into.
-  frame.reset();
-  auto dst = frame.push_back(plaintext->size());
-  std::memcpy(dst.data(), plaintext->data(), plaintext->size());
-  emit_inner(tunnel, sa, std::move(frame), out);
-}
-
-// RFC 4106-shaped AES-GCM ESP: Eth | outer IPv4 | ESP | IV(8) |
-// ciphertext | ICV(16). The explicit IV is the 64-bit sequence counter;
-// the GCM nonce is (salt ^ SPI)(4) || IV(8) — a deliberate deviation
-// from RFC 4106's plain salt||IV, needed because both directions share
-// one enc_key here (see gcm_nonce(); a conforming peer with per-SA
-// keymat would not interoperate). The AAD is the 8-byte ESP header
-// (SPI, seq). Encryption and authentication happen in one in-place seal
-// over the frame's own segment — no separate HMAC pass, no plaintext
-// staging copy, and both CTR and GHASH pipeline across blocks (and, with
-// several lanes, across packets) on the hardware backends.
-bool IpsecEndpoint::encapsulate_gcm_prepare(Tunnel& tunnel,
-                                            SecurityAssociation& sa,
-                                            packet::PacketBuffer&& frame,
-                                            GcmEncapPrep& prep) {
-  // Headroom prepend + trailer append + in-place seal rebuild the frame
-  // where it sits; a flooded replica must go private first.
-  frame.unshare();
-  auto inner = parse_inner_ipv4(frame);
-  if (!inner) return false;
-
-  // Claim this packet's sequence number atomically: workers sharing the
-  // SA each get a unique value.
-  const std::uint64_t seq = ++sa.seq;
-  const std::size_t inner_size = inner->size();
-
-  // Reduce the view to the inner IP packet: drop the red-side Ethernet
-  // header and any Ethernet padding past total_length — pure offset
-  // adjustments on the pooled segment, the payload never moves.
-  const std::size_t eth_size =
-      static_cast<std::size_t>(inner->data() - frame.data().data());
-  frame.pull_front(eth_size);
-  frame.trim(inner_size);
-
-  // ESP trailer into the tailroom: GCM is a stream mode, so padding only
-  // has to satisfy the RFC 4303 4-byte alignment of
-  // (payload | pad_len | next_header).
-  const std::size_t pad = (4 - (inner_size + 2) % 4) % 4;
-  const std::size_t pt_len = inner_size + pad + 2;
-  std::uint8_t* trailer = frame.push_back(pad + 2).data();
-  for (std::size_t i = 1; i <= pad; ++i) {
-    trailer[i - 1] = static_cast<std::uint8_t>(i);
-  }
-  trailer[pad] = static_cast<std::uint8_t>(pad);
-  trailer[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
-
-  // Claim the headroom for Eth | outer IPv4 | ESP | IV (the red-side
-  // Ethernet header plus default headroom always covers it) and the
-  // tailroom for the ICV; the payload now sits where the seal reads and
-  // writes it.
-  const std::size_t esp_payload =
-      packet::kEspHeaderSize + kGcmIvSize + pt_len + kGcmIcvSize;
-  const std::size_t ct_off =
-      kEspOffset + packet::kEspHeaderSize + kGcmIvSize;
-  frame.push_front(ct_off);
-  frame.push_back(kGcmIcvSize);
-  auto buf = frame.data();
-  write_outer_headers(tunnel, sa, seq, esp_payload, buf);
-  util::store_be64(buf.data() + kEspOffset + packet::kEspHeaderSize, seq);
-
-  Keymat& keymat = *tunnel.keymat;
-  gcm_nonce(sa, keymat.salt, buf.data() + kEspOffset + packet::kEspHeaderSize,
-            prep.nonce);
-  // AAD: the ESP header, widened to SPI || seq-hi || seq-lo under ESN
-  // (without ESN the constructed bytes equal the wire header exactly).
-  prep.aad_len = esp_aad(sa, seq, prep.aad);
-  prep.sa = &sa;
-  prep.ct_off = ct_off;
-  prep.pt_len = pt_len;
-  prep.inner_size = inner_size;
-  prep.frame = std::move(frame);
-  return true;
+  // Decrypt in place over the ciphertext; the IV just in front of it is
+  // only read.
+  const std::size_t pt_off =
+      ingress.esp_off + packet::kEspHeaderSize + kIvSize;
+  std::uint8_t* ct = frame.data().data() + pt_off;
+  crypto::active_backend().cbc_decrypt(*keymat.cipher, ct - kIvSize, ct, ct,
+                                       ct_len);
+  emit_inner(tunnel, sa, std::move(frame), pt_off, ct_len, out);
 }
 
 void IpsecEndpoint::encapsulate_burst(ContextId ctx, Tunnel& tunnel,
@@ -863,11 +840,12 @@ void IpsecEndpoint::encapsulate_burst(ContextId ctx, Tunnel& tunnel,
   // GCM frames become independent seal_mb lanes: each packet keeps its
   // own nonce/AAD/sequence (claimed in frame order), while the batched
   // kernel interleaves their AES streams — short packets do not
-  // serialise on AESENC latency. CBC is chain-serial and runs per frame.
+  // serialise on AESENC latency. CBC is chain-serial and seals per frame.
   constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
+  const bool gcm = tunnel.transform == EspTransform::kGcm;
   std::size_t idx = 0;
   while (idx < burst.size()) {
-    GcmEncapPrep preps[kLanes];
+    EncapPrep preps[kLanes];
     crypto::GcmMbOp ops[kLanes];
     std::size_t n = 0;
     while (idx < burst.size() && n < kLanes) {
@@ -875,13 +853,16 @@ void IpsecEndpoint::encapsulate_burst(ContextId ctx, Tunnel& tunnel,
       SecurityAssociation* sa =
           lifecycle ? outbound_gate(ctx, tunnel, now) : &tunnel.out_sa;
       if (sa == nullptr) continue;  // hard stop, counted by the gate
-      if (tunnel.transform == EspTransform::kCbcHmac) {
-        encapsulate_cbc(tunnel, *sa, std::move(frame), out);
-        continue;
-      }
-      GcmEncapPrep& prep = preps[n];
-      if (!encapsulate_gcm_prepare(tunnel, *sa, std::move(frame), prep)) {
+      EncapPrep& prep = preps[n];
+      if (!encapsulate_prepare(tunnel, *sa, std::move(frame), prep)) {
         continue;  // dropped; parse failures leave no lane behind
+      }
+      if (!gcm) {
+        // A cutover can only happen in outbound_gate above, so
+        // tunnel.keymat is this frame's generation.
+        seal_cbc(*tunnel.keymat, prep);
+        emit_outer(prep, out);
+        continue;
       }
       auto buf = prep.frame.data();
       ops[n++] = crypto::GcmMbOp{{prep.nonce, sizeof(prep.nonce)},
@@ -900,13 +881,7 @@ void IpsecEndpoint::encapsulate_burst(ContextId ctx, Tunnel& tunnel,
       stats_shard().malformed += n;
       continue;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      SecurityAssociation& sa = *preps[i].sa;
-      ++sa.packets;
-      sa.bytes += preps[i].inner_size;
-      ++stats_shard().encapsulated;
-      out.push_back(NfOutput{1, std::move(preps[i].frame)});
-    }
+    for (std::size_t i = 0; i < n; ++i) emit_outer(preps[i], out);
   }
 }
 
@@ -1011,11 +986,8 @@ void IpsecEndpoint::decapsulate_burst(ContextId ctx, Tunnel& tunnel,
         ++stats_shard().replay_drops;
         continue;
       }
-      // Decap is a pure view adjustment: the outer headers + ESP + IV
-      // become headroom, the ICV falls off the tail.
-      prep.frame.pull_front(prep.pt_off);
-      prep.frame.trim(prep.ct_len);
-      emit_inner(tunnel, sa, std::move(prep.frame), out);
+      emit_inner(tunnel, sa, std::move(prep.frame), prep.pt_off, prep.ct_len,
+                 out);
     }
   }
 }

@@ -314,10 +314,11 @@ class IpsecEndpoint : public NetworkFunction {
   std::optional<std::span<const std::uint8_t>> parse_inner_ipv4(
       const packet::PacketBuffer& frame);
 
-  /// Shared encap epilogue start: writes Eth | outer IPv4 | ESP header
+  /// Part of the encap prologue: writes Eth | outer IPv4 | ESP header
   /// into the first kEspOffset + kEspHeaderSize bytes of `buf` — the
-  /// header area the transforms reclaim from the input frame's headroom
-  /// via push_front (no output-frame allocation, no payload copy).
+  /// header area encapsulate_prepare reclaims from the input frame's
+  /// headroom via push_front (no output-frame allocation, no payload
+  /// copy).
   /// `esp_payload` sizes the outer IP total-length field. `seq` is the
   /// sequence number this packet claimed with its atomic increment —
   /// sa.seq may already be ahead when several workers share the SA.
@@ -347,35 +348,34 @@ class IpsecEndpoint : public NetworkFunction {
       ContextId ctx, Tunnel& tunnel, const packet::PacketBuffer& frame,
       std::size_t min_esp_payload);
 
-  /// Shared decap epilogue: `inner` views the decrypted ESP payload
-  /// (inner IP packet | pad | pad_len | next_header) inside the frame's
-  /// pooled segment. Validates + strips the trailer (pad bytes
-  /// 1..pad_len, next_header IPv4, pad_len bounded by the payload) with
-  /// trim(), then rebuilds the red-side Ethernet header in the headroom
-  /// the stripped outer headers left behind — no copy — and appends it
-  /// to `out`. Counts `malformed` (endpoint + per-SA) on failure.
+  /// Shared decap epilogue: the ESP payload (inner IP packet | pad |
+  /// pad_len | next_header) sits decrypted at [pt_off, pt_off + pt_len)
+  /// of the frame's pooled segment. Narrows the view to it (the outer
+  /// headers, ESP header and IV become headroom, the ICV falls off the
+  /// tail), validates + strips the trailer (pad bytes 1..pad_len,
+  /// next_header IPv4, pad_len bounded by the payload), then rebuilds the
+  /// red-side Ethernet header in the vacated headroom — no copy — and
+  /// appends the frame to `out`. Counts `malformed` (endpoint + per-SA)
+  /// on failure.
   void emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
-                  packet::PacketBuffer&& inner, std::vector<NfOutput>& out);
+                  packet::PacketBuffer&& frame, std::size_t pt_off,
+                  std::size_t pt_len, std::vector<NfOutput>& out);
 
   static constexpr std::size_t kEspOffset =
       packet::kEthernetHeaderSize + packet::kIpv4MinHeaderSize;
-  /// CBC-HMAC transform, one frame (CBC encryption is chain-serial);
-  /// appends the result to `out`.
-  void encapsulate_cbc(Tunnel& tunnel, SecurityAssociation& sa,
-                       packet::PacketBuffer&& frame,
-                       std::vector<NfOutput>& out);
-  void decapsulate_cbc(Tunnel& tunnel, const EspIngress& ingress,
-                       packet::PacketBuffer&& frame,
-                       std::vector<NfOutput>& out);
+  static_assert(kIcvSize == kGcmIcvSize,
+                "both transforms reserve one ICV room size");
 
-  /// A GCM encapsulation carried up to (but excluding) the seal: the
-  /// frame rebuilt in place (outer headers, ESP header/IV, trailer, ICV
-  /// room) with the nonce and AAD derived. The pooled segment does not
-  /// move with the PacketBuffer handle, so spans into prep.frame stay
-  /// valid while a burst's preps queue up as seal_mb lanes.
-  struct GcmEncapPrep {
+  /// An encapsulation carried up to (but excluding) the cipher pass: the
+  /// frame rebuilt in place as Eth | outer IPv4 | ESP | IV | payload |
+  /// trailer | ICV room, the IV slot filled and (GCM) the nonce and AAD
+  /// derived. The pooled segment does not move with the PacketBuffer
+  /// handle, so spans into prep.frame stay valid while a burst's preps
+  /// queue up as seal_mb lanes.
+  struct EncapPrep {
     packet::PacketBuffer frame;
     SecurityAssociation* sa = nullptr;
+    std::uint64_t seq = 0;
     std::size_t ct_off = 0;
     std::size_t pt_len = 0;
     std::size_t inner_size = 0;
@@ -384,17 +384,33 @@ class IpsecEndpoint : public NetworkFunction {
     std::size_t aad_len = 0;
   };
 
-  /// Sequence claim, header/trailer rebuild and nonce/AAD derivation
-  /// for one GCM lane. Returns false — frame dropped and counted — when
-  /// the inner packet does not parse.
-  bool encapsulate_gcm_prepare(Tunnel& tunnel, SecurityAssociation& sa,
-                               packet::PacketBuffer&& frame,
-                               GcmEncapPrep& prep);
+  /// The encap prologue both transforms share: sequence claim, view
+  /// narrowed to the inner IP packet, RFC 4303 trailer appended (padded
+  /// to the AES block for CBC, to 4 bytes for GCM), outer headers and IV
+  /// written into the headroom, ICV room claimed from the tailroom.
+  /// Returns false — frame dropped and counted — when the inner packet
+  /// does not parse.
+  bool encapsulate_prepare(Tunnel& tunnel, SecurityAssociation& sa,
+                           packet::PacketBuffer&& frame, EncapPrep& prep);
+  /// CBC-HMAC finish for one prepared frame (CBC encryption is
+  /// chain-serial): encrypts the payload in place, then writes the HMAC
+  /// over ESP header | IV | ciphertext (+ seq-hi under ESN) into the ICV
+  /// room.
+  static void seal_cbc(const Keymat& keymat, EncapPrep& prep);
+  /// Shared encap epilogue: per-SA and endpoint counters, then the frame
+  /// leaves on the black port.
+  void emit_outer(EncapPrep& prep, std::vector<NfOutput>& out);
+  /// CBC-HMAC decap of one ingress frame: constant-time ICV check, replay
+  /// check, ciphertext-geometry check, in-place decryption, then the
+  /// shared epilogue.
+  void decapsulate_cbc(Tunnel& tunnel, const EspIngress& ingress,
+                       packet::PacketBuffer&& frame,
+                       std::vector<NfOutput>& out);
 
   /// The one encapsulation routine. GCM frames are gathered into groups
   /// of up to crypto::CryptoBackend::kMaxMbLanes lanes and sealed through
   /// GcmContext::seal_mb, sequence numbers claimed in frame order; CBC
-  /// frames run one by one inside the same loop. With `lifecycle` set
+  /// frames are sealed one by one inside the same loop. With `lifecycle` set
   /// (exclusive lock) every frame first passes outbound_gate and is
   /// sealed as a one-lane group, because the lifetime counters the gate
   /// reads only move after the seal.

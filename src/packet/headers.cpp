@@ -89,6 +89,24 @@ std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {
   return Ipv4Address{value};
 }
 
+util::Status parse_ipv4_prefix(std::string_view text,
+                               std::optional<Ipv4Address>& addr,
+                               std::uint8_t& prefix) {
+  const auto slash = text.find('/');
+  auto parsed = Ipv4Address::parse(text.substr(0, slash));
+  if (!parsed.has_value()) {
+    return invalid_argument("bad IPv4 address '" + std::string(text) + "'");
+  }
+  std::uint64_t len = 32;
+  if (slash != std::string_view::npos &&
+      (!util::parse_u64(text.substr(slash + 1), len) || len > 32)) {
+    return invalid_argument("bad prefix in '" + std::string(text) + "'");
+  }
+  addr = *parsed;
+  prefix = static_cast<std::uint8_t>(len);
+  return util::Status::ok();
+}
+
 // ---------------------------------------------------------------------------
 // Ethernet
 // ---------------------------------------------------------------------------

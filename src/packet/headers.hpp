@@ -44,6 +44,12 @@ struct Ipv4Address {
   static std::optional<Ipv4Address> parse(std::string_view text);
 };
 
+/// Parses an IPv4 prefix, "10.0.0.0/8" or a bare "10.0.0.1" (prefix 32),
+/// into `addr` and `prefix`; both are left untouched on error.
+util::Status parse_ipv4_prefix(std::string_view text,
+                               std::optional<Ipv4Address>& addr,
+                               std::uint8_t& prefix);
+
 // ---------------------------------------------------------------------------
 // Ethernet / 802.1Q
 // ---------------------------------------------------------------------------

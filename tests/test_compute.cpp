@@ -2,12 +2,10 @@
 // DPDK drivers, the template registry and the compute manager dispatch.
 #include <gtest/gtest.h>
 
-#include "compute/docker_driver.hpp"
-#include "compute/dpdk_driver.hpp"
+#include "compute/generic_driver.hpp"
 #include "compute/instance.hpp"
 #include "compute/manager.hpp"
 #include "compute/templates.hpp"
-#include "compute/vm_driver.hpp"
 #include "core/repository.hpp"
 #include "nnf/bridge.hpp"
 #include "packet/builder.hpp"
@@ -193,7 +191,7 @@ class GenericDriverFixture : public ::testing::Test {
 };
 
 TEST_F(GenericDriverFixture, DockerDeployCreatesPortsAndAccounts) {
-  DockerDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kDocker, "docker", env_);
   EXPECT_TRUE(driver.can_deploy("ipsec"));
   EXPECT_FALSE(driver.can_deploy("ghost"));
 
@@ -219,7 +217,7 @@ TEST_F(GenericDriverFixture, DockerDeployCreatesPortsAndAccounts) {
 }
 
 TEST_F(GenericDriverFixture, VmUsesVmConstants) {
-  VmDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kVm, "libvirt", env_);
   auto deployed = driver.deploy(spec_for("ipsec"), lsi_);
   ASSERT_TRUE(deployed.is_ok());
   EXPECT_EQ(std::string(driver.name()), "libvirt");
@@ -233,7 +231,7 @@ TEST_F(GenericDriverFixture, VmUsesVmConstants) {
 TEST_F(GenericDriverFixture, DeployFailsWhenRamExhausted) {
   virt::RamLedger tiny(10 * virt::kMiB);
   env_.ram = &tiny;
-  VmDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kVm, "libvirt", env_);
   auto deployed = driver.deploy(spec_for("ipsec"), lsi_);
   ASSERT_FALSE(deployed.is_ok());
   EXPECT_EQ(deployed.status().code(), util::ErrorCode::kResourceExhausted);
@@ -243,7 +241,7 @@ TEST_F(GenericDriverFixture, DeployFailsWhenRamExhausted) {
 }
 
 TEST_F(GenericDriverFixture, DeployFailsOnBadConfig) {
-  DockerDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kDocker, "docker", env_);
   NfDeploySpec spec = spec_for("nat");
   spec.config["external_ip"] = "not-an-ip";
   auto deployed = driver.deploy(spec, lsi_);
@@ -253,7 +251,7 @@ TEST_F(GenericDriverFixture, DeployFailsOnBadConfig) {
 }
 
 TEST_F(GenericDriverFixture, DatapathFlowsThroughLsi) {
-  DockerDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kDocker, "docker", env_);
   auto deployed = driver.deploy(spec_for("bridge"), lsi_);
   ASSERT_TRUE(deployed.is_ok());
 
@@ -276,7 +274,7 @@ TEST_F(GenericDriverFixture, DatapathFlowsThroughLsi) {
 }
 
 TEST_F(GenericDriverFixture, UpdateReconfiguresFunction) {
-  DockerDriver driver(env_);
+  GenericVnfDriver driver(virt::BackendKind::kDocker, "docker", env_);
   auto deployed = driver.deploy(spec_for("nat"), lsi_);
   ASSERT_TRUE(deployed.is_ok());
   EXPECT_TRUE(
@@ -289,8 +287,8 @@ TEST_F(GenericDriverFixture, UpdateReconfiguresFunction) {
 }
 
 TEST_F(GenericDriverFixture, SharedLayersAcrossBackends) {
-  DockerDriver docker(env_);
-  DpdkDriver dpdk(env_);
+  GenericVnfDriver docker(virt::BackendKind::kDocker, "docker", env_);
+  GenericVnfDriver dpdk(virt::BackendKind::kDpdk, "dpdk", env_);
   auto a = docker.deploy(spec_for("ipsec"), lsi_);
   ASSERT_TRUE(a.is_ok());
   const std::uint64_t after_docker = disk_.used();
@@ -310,11 +308,14 @@ TEST_F(GenericDriverFixture, SharedLayersAcrossBackends) {
 TEST_F(GenericDriverFixture, ManagerDispatchesAndTracks) {
   ComputeManager manager;
   ASSERT_TRUE(
-      manager.register_driver(std::make_unique<DockerDriver>(env_)).is_ok());
+      manager.register_driver(std::make_unique<GenericVnfDriver>(
+          virt::BackendKind::kDocker, "docker", env_)).is_ok());
   ASSERT_TRUE(
-      manager.register_driver(std::make_unique<VmDriver>(env_)).is_ok());
+      manager.register_driver(std::make_unique<GenericVnfDriver>(
+          virt::BackendKind::kVm, "libvirt", env_)).is_ok());
   EXPECT_FALSE(
-      manager.register_driver(std::make_unique<VmDriver>(env_)).is_ok());
+      manager.register_driver(std::make_unique<GenericVnfDriver>(
+          virt::BackendKind::kVm, "libvirt", env_)).is_ok());
   EXPECT_FALSE(manager.register_driver(nullptr).is_ok());
   EXPECT_TRUE(manager.has_driver(virt::BackendKind::kDocker));
   EXPECT_FALSE(manager.has_driver(virt::BackendKind::kNative));

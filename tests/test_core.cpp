@@ -2,10 +2,9 @@
 // scheduler policy, network manager (LSIs + virtual links) and steering.
 #include <gtest/gtest.h>
 
-#include "compute/docker_driver.hpp"
+#include "compute/generic_driver.hpp"
 #include "compute/manager.hpp"
 #include "compute/native_driver.hpp"
-#include "compute/vm_driver.hpp"
 #include "core/network_manager.hpp"
 #include "core/repository.hpp"
 #include "core/resolver.hpp"
@@ -98,9 +97,11 @@ class ResolverFixture : public ::testing::Test {
     (void)manager_.register_driver(
         std::make_unique<compute::NativeDriver>(native));
     (void)manager_.register_driver(
-        std::make_unique<compute::DockerDriver>(generic));
+        std::make_unique<compute::GenericVnfDriver>(
+            virt::BackendKind::kDocker, "docker", generic));
     (void)manager_.register_driver(
-        std::make_unique<compute::VmDriver>(generic));
+        std::make_unique<compute::GenericVnfDriver>(
+            virt::BackendKind::kVm, "libvirt", generic));
   }
 
   sim::Simulator simulator_;

@@ -7,10 +7,12 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/worker_slot.hpp"
+#include "heap_counter.hpp"
 #include "nnf/ipsec.hpp"
 #include "packet/buffer.hpp"
 #include "packet/builder.hpp"
@@ -361,24 +363,85 @@ TEST(EspZeroCopy, CbcEncapReusesTheInputSegment) {
   const std::vector<std::uint8_t> plain(frame.data().begin(),
                                         frame.data().end());
   const std::uint8_t* base = frame.data().data();
+  const std::size_t headroom_before = frame.headroom();
+  const std::size_t tailroom_before = frame.tailroom();
+  ASSERT_EQ(headroom_before, PacketBuffer::kDefaultHeadroom);
 
-  // CBC stages padding/ICV in scratch vectors (not length-preserving),
-  // but the wire frame is rebuilt into the input's own segment: no pool
-  // allocation per packet.
+  // Encap: pop inner Ethernet (14), prepend outer Eth+IP+ESP+IV (58, the
+  // CBC IV is 16 bytes) — the output's first byte sits 44 before the
+  // input's within the SAME segment; CBC encrypts in place.
   auto enc = initiator.process(nnf::kDefaultContext, 0, 0, std::move(frame));
   ASSERT_EQ(enc.size(), 1u);
-  EXPECT_EQ(enc[0].frame.data().data(), base);
+  PacketBuffer& wire = enc[0].frame;
+  EXPECT_EQ(wire.data().data(), base + 14 - 58);
+  EXPECT_EQ(wire.headroom(), headroom_before - (58 - 14));
+  // Block padding + ICV grew into the tailroom.
+  EXPECT_LT(wire.tailroom(), tailroom_before);
 
+  // Decap: authenticate, decrypt in place, then pure offset adjustment
+  // back to the original geometry — same first byte as the input frame.
   auto dec = responder.process(nnf::kDefaultContext, 1, 0,
                                std::move(enc[0].frame));
   ASSERT_EQ(dec.size(), 1u);
-  // Decap rebuilds the plaintext at the default offset and prepends the
-  // inner Ethernet header into headroom — still the same segment.
-  EXPECT_EQ(dec[0].frame.data().data(), base - packet::kEthernetHeaderSize);
-  ASSERT_EQ(dec[0].frame.size(), plain.size());
-  EXPECT_EQ(std::memcmp(dec[0].frame.data().data() + 14, plain.data() + 14,
+  PacketBuffer& inner = dec[0].frame;
+  EXPECT_EQ(inner.data().data(), base);
+  EXPECT_EQ(inner.headroom(), headroom_before);
+  ASSERT_EQ(inner.size(), plain.size());
+  // Inner IP packet bytes identical (the Ethernet header is rebuilt).
+  EXPECT_EQ(std::memcmp(inner.data().data() + 14, plain.data() + 14,
                         plain.size() - 14),
             0);
+}
+
+TEST(EspZeroCopy, SteadyStateBurstMakesNoHeapCalls) {
+  // Once the pools are warm, a 32-frame burst through either transform,
+  // in either direction, makes at most one heap call: the returned
+  // output vector. Frames come from and go back to the pooled segments,
+  // and both transforms rewrite each frame in place.
+  constexpr std::size_t kBurst = 32;
+  for (const char* transform : {"gcm", "cbc-hmac"}) {
+    // 64 B and 1408 B frames (42 B of Eth+IPv4+UDP headers).
+    for (std::size_t payload : {std::size_t{22}, std::size_t{1366}}) {
+      SCOPED_TRACE(std::string(transform) + " payload " +
+                   std::to_string(payload));
+      nnf::IpsecEndpoint initiator;
+      nnf::IpsecEndpoint responder;
+      ASSERT_TRUE(initiator
+                      .configure(nnf::kDefaultContext,
+                                 esp_config("198.51.100.1", "198.51.100.2",
+                                            "1001", "2002", transform))
+                      .is_ok());
+      ASSERT_TRUE(responder
+                      .configure(nnf::kDefaultContext,
+                                 esp_config("198.51.100.2", "198.51.100.1",
+                                            "2002", "1001", transform))
+                      .is_ok());
+      for (int round = 0; round < 3; ++round) {
+        PacketBurst burst;
+        burst.reserve(kBurst);
+        for (std::size_t i = 0; i < kBurst; ++i) {
+          burst.push_back(udp_frame(payload));
+        }
+        std::uint64_t before = test::heap_calls();
+        auto enc = initiator.process_burst(nnf::kDefaultContext, 0, 0,
+                                           std::move(burst));
+        const std::uint64_t encap_calls = test::heap_calls() - before;
+        ASSERT_EQ(enc.size(), kBurst);
+
+        PacketBurst wire;
+        wire.reserve(kBurst);
+        for (auto& out : enc) wire.push_back(std::move(out.frame));
+        before = test::heap_calls();
+        auto dec = responder.process_burst(nnf::kDefaultContext, 1, 0,
+                                           std::move(wire));
+        const std::uint64_t decap_calls = test::heap_calls() - before;
+        ASSERT_EQ(dec.size(), kBurst);
+        if (round == 0) continue;  // warm-up: pools grow their slabs
+        EXPECT_LE(encap_calls, 1u) << "encap, round " << round;
+        EXPECT_LE(decap_calls, 1u) << "decap, round " << round;
+      }
+    }
+  }
 }
 
 }  // namespace

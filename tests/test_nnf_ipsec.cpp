@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/backend.hpp"
+#include "crypto/hmac.hpp"
 #include "nnf/ipsec.hpp"
 #include "packet/builder.hpp"
 #include "packet/flow_key.hpp"
@@ -368,6 +369,55 @@ TEST(Ipsec, CbcHmacRoundTripStillWorks) {
   const std::vector<std::uint8_t> inner_after(
       dec[0].frame.data().begin() + 14, dec[0].frame.data().end());
   EXPECT_EQ(inner_before, inner_after);
+}
+
+TEST(Ipsec, CbcHostileCiphertextLengthIsMalformed) {
+  // A peer holding the keys can tag a ciphertext that is not whole AES
+  // blocks. The ICV verifies, so the length check after it must catch
+  // the frame: counted malformed, nothing emitted.
+  NfConfig init = initiator_config();
+  NfConfig resp = responder_config();
+  init["esp_transform"] = "cbc-hmac";
+  resp["esp_transform"] = "cbc-hmac";
+  IpsecEndpoint initiator = make_endpoint(init);
+  IpsecEndpoint responder = make_endpoint(resp);
+  auto enc = initiator.process(kDefaultContext, 0, 0, plaintext_frame(200));
+  ASSERT_EQ(enc.size(), 1u);
+  const auto wire = enc[0].frame.data();
+
+  // Eth | IPv4 | ESP | IV | ciphertext | ICV: drop 8 ciphertext bytes,
+  // fix the outer total length and re-tag with the real auth key.
+  constexpr std::size_t kEspOff =
+      packet::kEthernetHeaderSize + packet::kIpv4MinHeaderSize;
+  const std::size_t kept = wire.size() - IpsecEndpoint::kIcvSize - 8;
+  std::vector<std::uint8_t> forged(wire.begin(), wire.begin() + kept);
+  auto ip = packet::parse_ipv4(
+      std::span<const std::uint8_t>(forged).subspan(
+          packet::kEthernetHeaderSize));
+  ASSERT_TRUE(ip.is_ok());
+  ip->total_length = static_cast<std::uint16_t>(
+      kept - packet::kEthernetHeaderSize + IpsecEndpoint::kIcvSize);
+  packet::write_ipv4(*ip, std::span<std::uint8_t>(forged).subspan(
+                              packet::kEthernetHeaderSize,
+                              packet::kIpv4MinHeaderSize));
+  std::vector<std::uint8_t> auth_key;
+  ASSERT_TRUE(util::hex_decode(kAuthKey, auth_key));
+  const auto icv = crypto::HmacSha256::mac(
+      auth_key, std::span<const std::uint8_t>(forged).subspan(kEspOff));
+  forged.insert(forged.end(), icv.begin(),
+                icv.begin() + IpsecEndpoint::kIcvSize);
+  ASSERT_NE((forged.size() - kEspOff - packet::kEspHeaderSize -
+             IpsecEndpoint::kIvSize - IpsecEndpoint::kIcvSize) %
+                16,
+            0u);
+
+  auto dec = responder.process(kDefaultContext, 1, 0,
+                               packet::PacketBuffer::copy_of(forged));
+  EXPECT_TRUE(dec.empty());
+  EXPECT_EQ(responder.stats().malformed, 1u);
+  EXPECT_EQ(responder.stats().auth_failures, 0u);
+  EXPECT_EQ(responder.stats().decapsulated, 0u);
+  EXPECT_EQ(responder.inbound_sa(kDefaultContext)->malformed, 1u);
 }
 
 TEST(Ipsec, GcmSaltFromExtendedKeyChangesWireAndRoundTrips) {
