@@ -60,7 +60,8 @@ ChainResult run_chain(int k, virt::BackendKind backend) {
                                       : 200 * sim::kMillisecond;
     result.goodput_mbps = bench::measure_capacity_mbps(
         [&]() -> std::unique_ptr<core::UniversalNode> {
-          auto node = std::make_unique<core::UniversalNode>();
+          auto node =
+              std::make_unique<core::UniversalNode>(bench::modelled_config());
           if (!node->orchestrator().deploy(chain_of(k, backend))) {
             deploy_failed = true;
             return nullptr;
@@ -75,7 +76,7 @@ ChainResult run_chain(int k, virt::BackendKind backend) {
   }
   {
     // Latency: 100 packets, widely spaced so queues stay empty.
-    core::UniversalNode node;
+    core::UniversalNode node(bench::modelled_config());
     if (!node.orchestrator().deploy(chain_of(k, backend))) return result;
     std::vector<sim::SimTime> in_times;
     std::vector<sim::SimTime> out_times;
@@ -137,6 +138,7 @@ int main(int argc, char** argv) {
       bench::smoke_mode() ? std::vector<int>{1, 2}
                           : std::vector<int>{1, 2, 3, 4, 6, 8};
   bench::JsonReport report("bench_chain_length");
+  report.mark_modelled();
   auto record = [&report](int k, const char* backend, const ChainResult& r) {
     auto& row = report.add_metric(
         "chain_" + std::to_string(k) + "_" + backend, "goodput_mbps",

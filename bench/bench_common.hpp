@@ -48,6 +48,15 @@ inline nffg::NfFg ipsec_cpe_graph(const std::string& id,
   return graph;
 }
 
+/// A node whose NF hops run through the service-time model in simulated
+/// time: what the reproduction benches (Table 1, Figure 1, chains,
+/// placement, sharing) measure. Their JSON says so (mark_modelled()).
+inline core::UniversalNodeConfig modelled_config() {
+  core::UniversalNodeConfig config;
+  config.modelled_timing = true;
+  return config;
+}
+
 struct SaturationResult {
   double goodput_mbps = 0.0;
   std::uint64_t delivered = 0;
@@ -67,7 +76,8 @@ inline std::uint64_t pool_heap_events() {
 }
 
 /// Saturates eth0 with `payload_bytes` UDP datagrams and counts frames
-/// leaving eth1 inside [warmup, warmup+duration). Goodput is reported on
+/// leaving eth1 inside [warmup, warmup+duration) of simulated time, so
+/// `node` must be built with modelled_config(). Goodput is reported on
 /// the *inner* payload, matching the paper's iPerf methodology.
 /// `burst_width` > 1 accumulates that many frames and injects them as
 /// one PacketBurst (a NIC RX burst), which is what lets the ESP endpoint

@@ -18,7 +18,7 @@ using namespace nnfv;  // NOLINT(google-build-using-namespace): bench main
 int main(int argc, char** argv) {
   bench::parse_cli(argc, argv);
   constexpr int kGraphs = 8;
-  core::UniversalNodeConfig config;
+  core::UniversalNodeConfig config = bench::modelled_config();
   config.physical_ports = {"eth0", "eth1"};
   core::UniversalNode node(config);
 
@@ -87,6 +87,7 @@ int main(int argc, char** argv) {
               node.describe().dump_pretty().c_str());
 
   bench::JsonReport json_report("bench_fig1_architecture");
+  json_report.mark_modelled();
   auto& row = json_report.add_metric("architecture_footprint",
                                      "graphs_deployed", deployed);
   row.extra.emplace_back("lsis",

@@ -97,6 +97,10 @@ class JsonReport {
 #endif
   }
 
+  /// Flags the run's figures as outputs of the service-time model in
+  /// simulated time ("modelled": true), not wall-clock measurements.
+  void mark_modelled() { flags_.emplace_back("modelled"); }
+
   /// Adds a top-level string field, e.g. set_field("backend", "aesni").
   void set_field(const std::string& key, const std::string& value) {
     string_fields_.emplace_back(key, value);

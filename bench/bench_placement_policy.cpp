@@ -26,7 +26,7 @@ struct PolicyOutcome {
 };
 
 PolicyOutcome fill_node(core::PlacementPolicyKind policy, int cap) {
-  core::UniversalNodeConfig config;
+  core::UniversalNodeConfig config = bench::modelled_config();
   config.placement_policy = policy;
   core::UniversalNode node(config);
   PolicyOutcome outcome;
@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
       {"fast-activate", core::PlacementPolicyKind::kFastActivation, 300},
   };
   bench::JsonReport report("bench_placement_policy");
+  report.mark_modelled();
   for (const Row& row : rows) {
     PolicyOutcome outcome =
         fill_node(row.kind, bench::smoke_mode() ? 5 : row.cap);

@@ -34,7 +34,7 @@ struct Footprint {
 };
 
 Footprint deploy_n(int n, std::optional<virt::BackendKind> hint) {
-  core::UniversalNode node;
+  core::UniversalNode node(bench::modelled_config());
   Footprint footprint;
   for (int i = 0; i < n; ++i) {
     auto report =
@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
               "--------------------------\n");
 
   bench::JsonReport report("bench_sharable_nnf");
+  report.mark_modelled();
   const std::vector<int> graph_counts =
       bench::smoke_mode() ? std::vector<int>{1, 2}
                           : std::vector<int>{1, 2, 4, 8, 16};

@@ -434,6 +434,7 @@ int main(int argc, char** argv) {
                         std::string(crypto::active_backend().name()));
   json_report.set_field("cpu_features", util::cpu_feature_string());
   json_report.set_field("mode", mode);
+  json_report.mark_modelled();
   std::printf(
       "=== Table 1: Results with IPSec client VNFs "
       "(paper vs this reproduction) ===\n");
@@ -448,7 +449,7 @@ int main(int argc, char** argv) {
 
   double allocs_per_packet = 0.0;  // worst row; must be 0 in steady state
   for (const Row& row : kRows) {
-    core::UniversalNode node;
+    core::UniversalNode node(bench::modelled_config());
     auto report = node.orchestrator().deploy(
         bench::ipsec_cpe_graph("t1", row.backend, esp_transform));
     if (!report) {

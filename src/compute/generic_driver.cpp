@@ -24,6 +24,7 @@ std::string GenericVnfDriver::default_image(
 
 Result<DeployedNf> GenericVnfDriver::deploy(const NfDeploySpec& spec,
                                             nfswitch::Lsi& lsi) {
+  std::lock_guard<std::recursive_mutex> lock(env_.runtime->nf_lock);
   auto tmpl = env_.templates->find(spec.functional_type);
   if (!tmpl) return tmpl.status();
 
@@ -54,7 +55,7 @@ Result<DeployedNf> GenericVnfDriver::deploy(const NfDeploySpec& spec,
       spec.graph_id + "/" + spec.nf_id + "@" + name_;
   auto instance = std::make_shared<NfInstance>(
       iid, instance_name, std::move(function.value()),
-      virt::CostModel(kind_, tmpl->compute), *env_.simulator);
+      virt::CostModel(kind_, tmpl->compute), *env_.runtime);
 
   if (!spec.config.empty()) {
     Status config_status =
@@ -126,6 +127,7 @@ Result<DeployedNf> GenericVnfDriver::deploy(const NfDeploySpec& spec,
 
 Status GenericVnfDriver::update(const DeployedNf& deployed,
                                 const nnf::NfConfig& config) {
+  std::lock_guard<std::recursive_mutex> lock(env_.runtime->nf_lock);
   auto it = instances_.find(deployed.instance);
   if (it == instances_.end()) {
     return util::not_found("instance " + std::to_string(deployed.instance));
@@ -135,6 +137,7 @@ Status GenericVnfDriver::update(const DeployedNf& deployed,
 
 util::Result<json::Value> GenericVnfDriver::nf_stats(
     const DeployedNf& deployed) const {
+  std::lock_guard<std::recursive_mutex> lock(env_.runtime->nf_lock);
   auto it = instances_.find(deployed.instance);
   if (it == instances_.end()) {
     return util::not_found("instance " + std::to_string(deployed.instance));
@@ -143,6 +146,7 @@ util::Result<json::Value> GenericVnfDriver::nf_stats(
 }
 
 Status GenericVnfDriver::undeploy(const DeployedNf& deployed) {
+  std::lock_guard<std::recursive_mutex> lock(env_.runtime->nf_lock);
   auto it = instances_.find(deployed.instance);
   if (it == instances_.end()) {
     return util::not_found("instance " + std::to_string(deployed.instance));

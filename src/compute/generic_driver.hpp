@@ -11,7 +11,6 @@
 
 #include "compute/driver.hpp"
 #include "compute/templates.hpp"
-#include "sim/simulator.hpp"
 #include "virt/image_store.hpp"
 #include "virt/ram_model.hpp"
 
@@ -20,7 +19,7 @@ namespace nnfv::compute {
 /// Everything a generic driver needs from the node. Non-owning; the node
 /// object (core) guarantees these outlive the drivers.
 struct DriverEnv {
-  sim::Simulator* simulator = nullptr;
+  NfRuntime* runtime = nullptr;
   const VnfTemplateRegistry* templates = nullptr;
   const virt::ImageStore* images = nullptr;
   virt::DiskLedger* disk = nullptr;

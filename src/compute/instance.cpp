@@ -20,14 +20,17 @@ std::string_view instance_state_name(InstanceState state) {
 
 NfInstance::NfInstance(InstanceId id, std::string name,
                        std::unique_ptr<nnf::NetworkFunction> function,
-                       virt::CostModel cost, sim::Simulator& simulator,
+                       virt::CostModel cost, NfRuntime& runtime,
                        std::size_t queue_capacity)
     : id_(id),
       name_(std::move(name)),
       function_(std::move(function)),
       cost_(cost),
-      simulator_(simulator),
-      station_(simulator, queue_capacity) {}
+      runtime_(runtime) {
+  if (runtime.simulator != nullptr) {
+    station_.emplace(*runtime.simulator, queue_capacity);
+  }
+}
 
 void NfInstance::set_burst_egress(nnf::ContextId ctx, BurstEgress egress) {
   egress_[ctx] = std::move(egress);
@@ -37,18 +40,23 @@ void NfInstance::clear_egress(nnf::ContextId ctx) { egress_.erase(ctx); }
 
 template <typename Handler>
 void NfInstance::submit(packet::PacketBurst&& burst, Handler handler) {
+  std::lock_guard<std::recursive_mutex> lock(runtime_.nf_lock);
   if (state_ != InstanceState::kRunning) {
     dropped_not_running_ += burst.size();
     return;
   }
   if (burst.empty()) return;
+  if (!station_) {
+    handler(runtime_.now(), std::move(burst));
+    return;
+  }
   sim::SimTime service = 0;
   for (const packet::PacketBuffer& frame : burst) {
     service += cost_.service_time(frame.size());
   }
   auto held = std::make_shared<packet::PacketBurst>(std::move(burst));
-  station_.submit(service, [handler = std::move(handler), held]() {
-    handler(std::move(*held));
+  station_->submit(service, [this, handler = std::move(handler), held]() {
+    handler(runtime_.now(), std::move(*held));
   });
 }
 
@@ -59,23 +67,31 @@ void NfInstance::inject(nnf::ContextId ctx, nnf::NfPortIndex port,
 
 void NfInstance::inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
                               packet::PacketBurst&& burst) {
-  submit(std::move(burst), [this, ctx, port](packet::PacketBurst&& held) {
-    auto outputs = function_->process_burst(ctx, port, simulator_.now(),
-                                            std::move(held));
+  submit(std::move(burst), [this, ctx, port](sim::SimTime now,
+                                             packet::PacketBurst&& held) {
+    std::vector<nnf::NfOutput> outputs =
+        function_->process_burst(ctx, port, now, std::move(held));
     auto egress = egress_.find(ctx);
-    if (egress == egress_.end()) return;
+    if (egress == egress_.end() || outputs.empty()) return;
     // Regrouped per output port, same-port order preserved.
-    packet::BurstGroups<nnf::NfPortIndex> groups;
+    packet::PacketBurst frames;
+    frames.reserve(outputs.size());
     for (nnf::NfOutput& output : outputs) {
-      groups.add(output.port, std::move(output.frame));
+      frames.push_back(std::move(output.frame));
     }
-    for (auto& [gp, g] : groups) egress->second(gp, std::move(g));
+    packet::BurstGroups<nnf::NfPortIndex> groups(std::move(frames));
+    for (const nnf::NfOutput& output : outputs) {
+      groups.add(output.port, std::move(*groups.next()));
+    }
+    groups.flush([&](nnf::NfPortIndex out_port, packet::PacketBurst&& group) {
+      egress->second(out_port, std::move(group));
+    });
   });
 }
 
 void NfInstance::inject_custom_burst(
     packet::PacketBurst&& burst,
-    std::function<void(packet::PacketBurst&&)> handler) {
+    std::function<void(sim::SimTime, packet::PacketBurst&&)> handler) {
   submit(std::move(burst), std::move(handler));
 }
 

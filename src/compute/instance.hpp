@@ -1,12 +1,17 @@
 // NfInstance: one running network function — the function logic, the
-// backend it executes under, and the single-server queue that gives it
-// backend-dependent per-packet timing in the simulator.
+// backend it executes under, and how its hops run: to completion in the
+// caller's thread (the default), or behind a single-server queue that
+// gives it backend-dependent per-packet timing in the simulator (a
+// modelled-timing node, docs/datapath.md §6).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 
 #include "nnf/network_function.hpp"
@@ -22,6 +27,28 @@ enum class InstanceState { kCreated, kRunning, kStopped, kDestroyed };
 
 std::string_view instance_state_name(InstanceState state);
 
+/// What every NF hop of one node shares: where its `now` comes from and
+/// the NF lock.
+struct NfRuntime {
+  /// Set on a modelled-timing node: hops wait out the service-time model
+  /// in simulated time and `now` is the simulator clock.
+  sim::Simulator* simulator = nullptr;
+  /// Origin of the wall clock: `now` is monotonic ns since then.
+  std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
+  /// The NF lock: serialises NF code (hops, deploy, update, undeploy,
+  /// stats) across datapath workers. Re-entrant, because a hop runs the
+  /// rest of the chain inside it.
+  std::recursive_mutex nf_lock;
+
+  [[nodiscard]] sim::SimTime now() const {
+    if (simulator != nullptr) return simulator->now();
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - epoch)
+        .count();
+  }
+};
+
 class NfInstance {
  public:
   /// Where processed frames go, per context: all frames one function call
@@ -29,9 +56,10 @@ class NfInstance {
   using BurstEgress =
       std::function<void(nnf::NfPortIndex, packet::PacketBurst&&)>;
 
+  /// `runtime` must outlive the instance.
   NfInstance(InstanceId id, std::string name,
              std::unique_ptr<nnf::NetworkFunction> function,
-             virt::CostModel cost, sim::Simulator& simulator,
+             virt::CostModel cost, NfRuntime& runtime,
              std::size_t queue_capacity = 512);
 
   [[nodiscard]] InstanceId id() const { return id_; }
@@ -48,11 +76,11 @@ class NfInstance {
   void clear_egress(nnf::ContextId ctx);
 
   /// Datapath entry: a burst arrives at logical `port` of context `ctx`.
-  /// The whole burst is one service-station item whose service time is
-  /// the sum of the per-frame times; after it, the function runs once
-  /// (process_burst) and its outputs leave through the context's egress,
-  /// grouped per output port. Running instances only; otherwise the
-  /// burst is dropped.
+  /// The function runs once (process_burst) with one `now` for the whole
+  /// burst, and its outputs leave through the context's egress, grouped
+  /// per output port. On a modelled node that happens after one
+  /// service-station item whose service time is the sum of the per-frame
+  /// times. Running instances only; otherwise the burst is dropped.
   void inject_burst(nnf::ContextId ctx, nnf::NfPortIndex port,
                     packet::PacketBurst&& burst);
 
@@ -60,28 +88,30 @@ class NfInstance {
   void inject(nnf::ContextId ctx, nnf::NfPortIndex port,
               packet::PacketBuffer&& frame);
 
-  /// Datapath entry for adaptation-layer deployments: same service-station
-  /// item as inject_burst, but after the delay `handler` receives the
-  /// burst back instead of the function — the adaptation layer then
-  /// demultiplexes it in one pass.
-  void inject_custom_burst(packet::PacketBurst&& burst,
-                           std::function<void(packet::PacketBurst&&)> handler);
+  /// Datapath entry for adaptation-layer deployments: the same hop as
+  /// inject_burst, but `handler(now, burst)` receives the burst instead
+  /// of the function — the adaptation layer then demultiplexes it in one
+  /// pass.
+  void inject_custom_burst(
+      packet::PacketBurst&& burst,
+      std::function<void(sim::SimTime, packet::PacketBurst&&)> handler);
 
   util::Status start();
   util::Status stop();
   util::Status destroy();
 
-  [[nodiscard]] const sim::QueueStats& queue_stats() const {
-    return station_.stats();
+  /// Service-station counters; all zero on a wall-clock node.
+  [[nodiscard]] sim::QueueStats queue_stats() const {
+    return station_ ? station_->stats() : sim::QueueStats{};
   }
-  [[nodiscard]] double utilization() const { return station_.utilization(); }
   [[nodiscard]] std::uint64_t dropped_not_running() const {
     return dropped_not_running_;
   }
 
  private:
-  /// Queues `burst` for its summed service time, then runs
-  /// `handler(PacketBurst&&)` on it.
+  /// Runs `handler(now, burst)`: right away under the NF lock, or on a
+  /// modelled (single-threaded) node once the station has served the
+  /// burst's summed service time.
   template <typename Handler>
   void submit(packet::PacketBurst&& burst, Handler handler);
 
@@ -89,8 +119,8 @@ class NfInstance {
   std::string name_;
   std::unique_ptr<nnf::NetworkFunction> function_;
   virt::CostModel cost_;
-  sim::Simulator& simulator_;
-  sim::ServiceStation station_;
+  NfRuntime& runtime_;
+  std::optional<sim::ServiceStation> station_;  ///< modelled node only
   std::map<nnf::ContextId, BurstEgress> egress_;
   InstanceState state_ = InstanceState::kCreated;
   std::uint64_t dropped_not_running_ = 0;

@@ -69,7 +69,7 @@ Result<std::shared_ptr<NativeDriver::Shared>> NativeDriver::create_instance(
       iid, "nnf/" + functional_type + "#" + std::to_string(iid),
       std::move(function.value()),
       virt::CostModel(virt::BackendKind::kNative, desc.compute),
-      *env_.simulator);
+      *env_.runtime);
 
   if (desc.single_interface) {
     shared->adaptation =
@@ -81,19 +81,21 @@ Result<std::shared_ptr<NativeDriver::Shared>> NativeDriver::create_instance(
     shared->adaptation->set_burst_transmit(
         [raw](packet::PacketBurst&& burst) {
           packet::BurstGroups<std::pair<nfswitch::Lsi*, nfswitch::PortId>>
-              groups;
-          for (packet::PacketBuffer& frame : burst) {
-            auto eth = packet::parse_ethernet(frame.data());
+              groups(std::move(burst));
+          while (packet::PacketBuffer* frame = groups.next()) {
+            auto eth = packet::parse_ethernet(frame->data());
             if (!eth || !eth->vlan.has_value()) continue;
             auto route = raw->routes.find(*eth->vlan);
             if (route == raw->routes.end()) continue;
-            packet::set_vlan(frame, std::nullopt);
-            groups.add(route->second, std::move(frame));
+            packet::set_vlan(*frame, std::nullopt);
+            groups.add(route->second, std::move(*frame));
           }
-          for (auto& [destination, group] : groups) {
+          groups.flush([](const std::pair<nfswitch::Lsi*, nfswitch::PortId>&
+                              destination,
+                          packet::PacketBurst&& group) {
             destination.first->receive_burst(destination.second,
                                              std::move(group));
-          }
+          });
         });
   }
 
@@ -114,6 +116,7 @@ Result<std::shared_ptr<NativeDriver::Shared>> NativeDriver::create_instance(
 
 Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
                                         nfswitch::Lsi& lsi) {
+  std::lock_guard<std::recursive_mutex> lock(env_.runtime->nf_lock);
   const std::string key = deployment_key(spec.graph_id, spec.nf_id);
   if (deployments_.contains(key)) {
     return util::already_exists("native deployment " + key);
@@ -248,30 +251,27 @@ Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
       }
       shared->routes[mark.value()] = {&lsi, port.value()};
 
-      // Switch -> NNF: tag every frame with this port's mark, pay one
-      // service-station event for the whole vector, then let the
-      // adaptation layer demultiplex the burst in one pass.
+      // Switch -> NNF: tag every frame with this port's mark, then one
+      // hop for the whole vector: the adaptation layer demultiplexes the
+      // burst in one pass.
       auto instance = shared->instance;
       Shared* raw = shared.get();
-      sim::Simulator* simulator = env_.simulator;
       const nnf::Mark mark_value = mark.value();
       (void)lsi.set_port_burst_peer(
           port.value(),
-          [instance, raw, simulator, mark_value](
-              packet::PacketBurst&& burst) {
+          [instance, raw, mark_value](packet::PacketBurst&& burst) {
             for (packet::PacketBuffer& frame : burst) {
               packet::set_vlan(frame, mark_value);
             }
             instance->inject_custom_burst(
                 std::move(burst),
-                [raw, simulator](packet::PacketBurst&& delayed) {
-                  raw->adaptation->receive_burst(simulator->now(),
-                                                 std::move(delayed));
+                [raw](sim::SimTime now, packet::PacketBurst&& held) {
+                  raw->adaptation->receive_burst(now, std::move(held));
                 });
           });
     } else {
       // Dedicated attachment per port, like any VNF: a classified burst
-      // stays together, one service-station event for the whole vector.
+      // stays together, one hop for the whole vector.
       auto instance = shared->instance;
       const nnf::ContextId ctx = dep.ctx;
       (void)lsi.set_port_burst_peer(
@@ -305,6 +305,7 @@ Result<DeployedNf> NativeDriver::deploy(const NfDeploySpec& spec,
 
 Status NativeDriver::update(const DeployedNf& deployed,
                             const nnf::NfConfig& config) {
+  std::lock_guard<std::recursive_mutex> lock(env_.runtime->nf_lock);
   auto it = deployments_.find(
       deployment_key(deployed.graph_id, deployed.nf_id));
   if (it == deployments_.end()) {
@@ -318,6 +319,7 @@ Status NativeDriver::update(const DeployedNf& deployed,
 
 util::Result<json::Value> NativeDriver::nf_stats(
     const DeployedNf& deployed) const {
+  std::lock_guard<std::recursive_mutex> lock(env_.runtime->nf_lock);
   auto it = deployments_.find(
       deployment_key(deployed.graph_id, deployed.nf_id));
   if (it == deployments_.end()) {
@@ -329,6 +331,7 @@ util::Result<json::Value> NativeDriver::nf_stats(
 }
 
 Status NativeDriver::undeploy(const DeployedNf& deployed) {
+  std::lock_guard<std::recursive_mutex> lock(env_.runtime->nf_lock);
   const std::string key =
       deployment_key(deployed.graph_id, deployed.nf_id);
   auto it = deployments_.find(key);

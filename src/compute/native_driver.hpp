@@ -31,13 +31,12 @@
 #include "nnf/adaptation.hpp"
 #include "nnf/catalog.hpp"
 #include "nnf/marking.hpp"
-#include "sim/simulator.hpp"
 #include "virt/ram_model.hpp"
 
 namespace nnfv::compute {
 
 struct NativeDriverEnv {
-  sim::Simulator* simulator = nullptr;
+  NfRuntime* runtime = nullptr;
   nnf::NnfCatalog* catalog = nullptr;
   netns::NamespaceRegistry* netns = nullptr;
   nnf::MarkAllocator* marks = nullptr;

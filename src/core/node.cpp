@@ -1,5 +1,7 @@
 #include "core/node.hpp"
 
+#include <stdexcept>
+
 #include "compute/generic_driver.hpp"
 #include "compute/native_driver.hpp"
 #include "nnf/translator.hpp"
@@ -17,19 +19,27 @@ UniversalNode::UniversalNode(UniversalNodeConfig config)
       repository_(VnfRepository::with_builtins()),
       resolver_(&repository_, &catalog_),
       scheduler_(make_policy(config.placement_policy)) {
+  if (config.modelled_timing) {
+    if (config.datapath_workers > 0) {
+      throw std::invalid_argument(
+          "modelled_timing runs NF hops on the single-threaded simulator; "
+          "it cannot be combined with datapath_workers > 0");
+    }
+    nf_runtime_.simulator = &simulator_;
+  }
   for (const std::string& port : config.physical_ports) {
     (void)network_.add_physical_port(port);
   }
 
   compute::DriverEnv generic_env;
-  generic_env.simulator = &simulator_;
+  generic_env.runtime = &nf_runtime_;
   generic_env.templates = &repository_.templates();
   generic_env.images = &repository_.images();
   generic_env.disk = &resources_.disk();
   generic_env.ram = &resources_.ram();
 
   compute::NativeDriverEnv native_env;
-  native_env.simulator = &simulator_;
+  native_env.runtime = &nf_runtime_;
   native_env.catalog = &catalog_;
   native_env.netns = &netns_;
   native_env.marks = &marks_;

@@ -43,12 +43,21 @@ struct UniversalNodeConfig {
   /// Placement policy the scheduler uses (see core/scheduler.hpp).
   PlacementPolicyKind placement_policy = PlacementPolicyKind::kDefault;
   /// Datapath worker threads for node ingress (docs/datapath.md §6).
-  /// 0 (default) keeps the historic inline path: inject() runs the LSI-0
-  /// pipeline on the calling thread. N > 0 starts N run-to-completion
-  /// workers; inject()/inject_burst() RSS-hash frames to them, and
-  /// egress peers / sim-bound NF stations may then be invoked from
-  /// worker threads (sim-bound work bounces via Simulator::post()).
+  /// 0 (default) keeps the inline path: inject() runs the LSI-0 pipeline
+  /// on the calling thread. N > 0 starts N run-to-completion workers;
+  /// inject()/inject_burst() RSS-hash frames to them, and each worker
+  /// runs the whole chain — NF hops under the node's NF lock — and the
+  /// egress peers on its own thread.
   std::size_t datapath_workers = 0;
+  /// Run NF hops through the service-time model (virt::CostModel behind a
+  /// sim::ServiceStation) in simulated time, as the paper-reproduction
+  /// benches do: a hop completes after its modelled delay, once the
+  /// caller runs simulator(), and NFs read the simulator clock. Off
+  /// (default), every hop runs to completion in the caller's thread and
+  /// NFs read a monotonic clock (ns since the node was built). The
+  /// station is single-threaded, so this cannot be combined with
+  /// datapath_workers > 0 (the constructor throws std::invalid_argument).
+  bool modelled_timing = false;
   /// Start the worker watchdog with its 200 ms stall threshold (docs/
   /// datapath.md §7). Only meaningful with datapath_workers > 0.
   bool datapath_watchdog = false;
@@ -97,12 +106,12 @@ class UniversalNode {
   exec::Watchdog* watchdog() { return watchdog_.get(); }
 
   /// Blocks until all worker-submitted ingress frames have left the
-  /// datapath (no-op on the inline path). Sim-bound continuations the
-  /// workers posted still need a simulator().run*() afterwards.
+  /// datapath, NF hops included (no-op on the inline path).
   void drain_datapath();
 
  private:
   sim::Simulator simulator_;
+  compute::NfRuntime nf_runtime_;
   netns::NamespaceRegistry netns_;
   nnf::NnfCatalog catalog_;
   nnf::MarkAllocator marks_;

@@ -37,12 +37,18 @@ std::size_t AdaptationLayer::unbind_context(ContextId ctx) {
 void AdaptationLayer::receive_burst(sim::SimTime now,
                                     packet::PacketBurst&& burst) {
   stats_.in_frames += burst.size();
+  // Outputs of the whole ingress burst leave as one egress burst, each
+  // re-marked with its (context, output port) mark so the switch can
+  // steer it back into the right graph.
+  packet::PacketBurst egress;
+  egress.reserve(burst.size());
 
   // Demultiplex on the mark and regroup per internal path, keeping
   // same-path frames in arrival order.
-  packet::BurstGroups<std::pair<ContextId, NfPortIndex>> groups;
-  for (packet::PacketBuffer& frame : burst) {
-    auto eth = packet::parse_ethernet(frame.data());
+  packet::BurstGroups<std::pair<ContextId, NfPortIndex>> groups(
+      std::move(burst));
+  while (packet::PacketBuffer* frame = groups.next()) {
+    auto eth = packet::parse_ethernet(frame->data());
     if (!eth || !eth->vlan.has_value()) {
       ++stats_.untagged;
       continue;
@@ -52,16 +58,13 @@ void AdaptationLayer::receive_burst(sim::SimTime now,
       ++stats_.unmapped_in;
       continue;
     }
-    packet::set_vlan(frame, std::nullopt);
-    groups.add(binding->second, std::move(frame));
+    packet::set_vlan(*frame, std::nullopt);
+    groups.add(binding->second, std::move(*frame));
   }
-  burst.clear();
 
-  // One process_burst per path; outputs of the whole ingress burst leave
-  // as one egress burst, each re-marked with its (context, output port)
-  // mark so the switch can steer it back into the right graph.
-  packet::PacketBurst egress;
-  for (auto& [path, group] : groups) {
+  // One process_burst per path.
+  groups.flush([&](const std::pair<ContextId, NfPortIndex>& path,
+                   packet::PacketBurst&& group) {
     const ContextId ctx = path.first;
     std::vector<NfOutput> outputs =
         nf_.process_burst(ctx, path.second, now, std::move(group));
@@ -75,7 +78,7 @@ void AdaptationLayer::receive_burst(sim::SimTime now,
       ++stats_.out_frames;
       egress.push_back(std::move(output.frame));
     }
-  }
+  });
   if (burst_tx_ && !egress.empty()) burst_tx_(std::move(egress));
 }
 

@@ -133,18 +133,36 @@ util::Status Firewall::configure(ContextId ctx, const NfConfig& config) {
 }
 
 std::vector<NfOutput> Firewall::process(ContextId ctx, NfPortIndex in_port,
-                                        sim::SimTime /*now*/,
+                                        sim::SimTime now,
                                         packet::PacketBuffer&& frame) {
+  return process_burst(ctx, in_port, now, packet::burst_of(std::move(frame)));
+}
+
+std::vector<NfOutput> Firewall::process_burst(ContextId ctx,
+                                              NfPortIndex in_port,
+                                              sim::SimTime /*now*/,
+                                              packet::PacketBurst&& burst) {
   std::vector<NfOutput> out;
+  out.reserve(burst.size());
+  for (packet::PacketBuffer& frame : burst) {
+    filter(ctx, in_port, std::move(frame), out);
+  }
+  burst.clear();
+  return out;
+}
+
+void Firewall::filter(ContextId ctx, NfPortIndex in_port,
+                      packet::PacketBuffer&& frame,
+                      std::vector<NfOutput>& out) {
   ++counters_.in_packets;
   if (!has_context(ctx) || in_port >= 2) {
     ++counters_.errors;
-    return out;
+    return;
   }
   auto eth = packet::parse_ethernet(frame.data());
   if (!eth) {
     ++counters_.errors;
-    return out;
+    return;
   }
   FilterVerdict verdict;
   const ContextState& state = state_[ctx];
@@ -156,7 +174,7 @@ std::vector<NfOutput> Firewall::process(ContextId ctx, NfPortIndex in_port,
         packet::extract_five_tuple(frame.data().subspan(eth->wire_size()));
     if (!tuple) {
       ++counters_.dropped;
-      return out;  // malformed IP: drop
+      return;  // malformed IP: drop
     }
     verdict = state.policy;
     for (const FilterRule& rule : state.rules) {
@@ -168,11 +186,10 @@ std::vector<NfOutput> Firewall::process(ContextId ctx, NfPortIndex in_port,
   }
   if (verdict == FilterVerdict::kDrop) {
     ++counters_.dropped;
-    return out;
+    return;
   }
   out.push_back(NfOutput{in_port == 0 ? 1u : 0u, std::move(frame)});
   ++counters_.out_packets;
-  return out;
 }
 
 util::Status Firewall::remove_context(ContextId ctx) {

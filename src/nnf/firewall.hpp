@@ -47,6 +47,13 @@ class Firewall : public NetworkFunction {
   /// e.g. "drop,10.0.0.0/8,any,tcp,22" or "accept,any,192.168.1.7,udp,5000-5010".
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
+  /// Filters a burst: each frame gets its verdict; accepted frames leave
+  /// on the other port, in order.
+  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
+                                      sim::SimTime now,
+                                      packet::PacketBurst&& burst) override;
+
+  /// Per-frame edge: a burst-of-1 call to process_burst.
   std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
                                 sim::SimTime now,
                                 packet::PacketBuffer&& frame) override;
@@ -65,6 +72,10 @@ class Firewall : public NetworkFunction {
     std::vector<FilterRule> rules;
     FilterVerdict policy = FilterVerdict::kAccept;
   };
+
+  /// Appends `frame` to `out` when the context's rules accept it.
+  void filter(ContextId ctx, NfPortIndex in_port,
+              packet::PacketBuffer&& frame, std::vector<NfOutput>& out);
 
   std::map<ContextId, ContextState> state_;
   NfCounters counters_;

@@ -212,16 +212,32 @@ util::Result<std::uint16_t> Nat::allocate_port(ContextState& state,
 std::vector<NfOutput> Nat::process(ContextId ctx, NfPortIndex in_port,
                                    sim::SimTime now,
                                    packet::PacketBuffer&& frame) {
+  return process_burst(ctx, in_port, now, packet::burst_of(std::move(frame)));
+}
+
+std::vector<NfOutput> Nat::process_burst(ContextId ctx, NfPortIndex in_port,
+                                         sim::SimTime now,
+                                         packet::PacketBurst&& burst) {
   std::vector<NfOutput> out;
+  out.reserve(burst.size());
+  for (packet::PacketBuffer& frame : burst) {
+    translate(ctx, in_port, now, std::move(frame), out);
+  }
+  burst.clear();
+  return out;
+}
+
+void Nat::translate(ContextId ctx, NfPortIndex in_port, sim::SimTime now,
+                    packet::PacketBuffer&& frame, std::vector<NfOutput>& out) {
   ++counters_.in_packets;
   if (!has_context(ctx) || in_port >= 2) {
     ++counters_.errors;
-    return out;
+    return;
   }
   auto state_it = state_.find(ctx);
   if (state_it == state_.end() || !state_it->second.external_ip_set) {
     ++counters_.dropped;
-    return out;
+    return;
   }
   ContextState& state = state_it->second;
   auto view = locate_ip(frame);
@@ -229,13 +245,13 @@ std::vector<NfOutput> Nat::process(ContextId ctx, NfPortIndex in_port,
     // Non-IP traffic passes through untranslated (L2 bridging behaviour).
     out.push_back(NfOutput{in_port == 0 ? 1u : 0u, std::move(frame)});
     ++counters_.out_packets;
-    return out;
+    return;
   }
   auto tuple =
       packet::extract_five_tuple(frame.data().subspan(view->l3_off));
   if (!tuple) {
     ++counters_.dropped;
-    return out;
+    return;
   }
 
   // Fast path: a fresh session hit with no sweep due touches only
@@ -253,19 +269,19 @@ std::vector<NfOutput> Nat::process(ContextId ctx, NfPortIndex in_port,
                   state.external_ip, it->second.external_port);
           out.push_back(NfOutput{1, std::move(frame)});
           ++counters_.out_packets;
-          return out;
+          return;
         }
         // Miss or stale hit: fall through to the slow path.
       } else {
         if (!(tuple->dst_ip == state.external_ip)) {
           ++counters_.dropped;
-          return out;
+          return;
         }
         auto ext = state.by_external.find(
             {tuple->protocol, external_key_port(tuple.value())});
         if (ext == state.by_external.end()) {
           ++counters_.dropped;
-          return out;
+          return;
         }
         auto session = state.by_original.find(ext->second);
         if (session != state.by_original.end() &&
@@ -276,7 +292,7 @@ std::vector<NfOutput> Nat::process(ContextId ctx, NfPortIndex in_port,
                   original.src_ip, original.src_port);
           out.push_back(NfOutput{0, std::move(frame)});
           ++counters_.out_packets;
-          return out;
+          return;
         }
         // Stale session: fall through to evict it under the unique lock.
       }
@@ -299,7 +315,7 @@ std::vector<NfOutput> Nat::process(ContextId ctx, NfPortIndex in_port,
       auto port = allocate_port(state, tuple->protocol);
       if (!port) {
         ++counters_.dropped;
-        return out;
+        return;
       }
       Session session{tuple.value(), port.value(), now};
       it = state.by_original.emplace(tuple.value(), session).first;
@@ -310,31 +326,31 @@ std::vector<NfOutput> Nat::process(ContextId ctx, NfPortIndex in_port,
             it->second.external_port);
     out.push_back(NfOutput{1, std::move(frame)});
     ++counters_.out_packets;
-    return out;
+    return;
   }
 
   // Inbound: must match a tracked, fresh session and target the
   // external IP.
   if (!(tuple->dst_ip == state.external_ip)) {
     ++counters_.dropped;
-    return out;
+    return;
   }
   auto ext = state.by_external.find(
       {tuple->protocol, external_key_port(tuple.value())});
   if (ext == state.by_external.end()) {
     ++counters_.dropped;
-    return out;
+    return;
   }
   auto session = state.by_original.find(ext->second);
   if (session == state.by_original.end()) {
     state.by_external.erase(ext);
     ++counters_.dropped;
-    return out;
+    return;
   }
   if (session_stale(state, session->second, now)) {
     evict(state, session);
     ++counters_.dropped;
-    return out;
+    return;
   }
   session->second.last_seen = now;
   const packet::FiveTuple original = session->second.original;
@@ -342,7 +358,6 @@ std::vector<NfOutput> Nat::process(ContextId ctx, NfPortIndex in_port,
           original.src_port);
   out.push_back(NfOutput{0, std::move(frame)});
   ++counters_.out_packets;
-  return out;
 }
 
 util::Status Nat::remove_context(ContextId ctx) {

@@ -75,6 +75,13 @@ class Nat : public NetworkFunction {
   /// "idle_timeout_ms" (default 30000).
   util::Status configure(ContextId ctx, const NfConfig& config) override;
 
+  /// Translates a burst frame by frame; translated frames leave on the
+  /// other port, in order.
+  std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
+                                      sim::SimTime now,
+                                      packet::PacketBurst&& burst) override;
+
+  /// Per-frame edge: a burst-of-1 call to process_burst.
   std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
                                 sim::SimTime now,
                                 packet::PacketBuffer&& frame) override;
@@ -134,6 +141,9 @@ class Nat : public NetworkFunction {
     return now - state.last_sweep >= state.idle_timeout;
   }
 
+  /// Appends the translated `frame` to `out`, or drops it.
+  void translate(ContextId ctx, NfPortIndex in_port, sim::SimTime now,
+                 packet::PacketBuffer&& frame, std::vector<NfOutput>& out);
   /// Full-table sweep; requires the context's unique lock.
   void sweep(ContextState& state, sim::SimTime now);
   /// Removes one session (both maps + port); unique lock required.

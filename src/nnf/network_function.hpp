@@ -61,8 +61,9 @@ class NetworkFunction {
   /// misspelled configs fail loudly.
   virtual util::Status configure(ContextId ctx, const NfConfig& config) = 0;
 
-  /// Processes one frame arriving on `in_port` of context `ctx` at
-  /// simulated time `now`; returns zero or more output frames.
+  /// Processes one frame arriving on `in_port` of context `ctx` at time
+  /// `now` (ns since the node was built; simulated time on a
+  /// modelled-timing node); returns zero or more output frames.
   virtual std::vector<NfOutput> process(ContextId ctx, NfPortIndex in_port,
                                         sim::SimTime now,
                                         packet::PacketBuffer&& frame) = 0;

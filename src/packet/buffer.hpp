@@ -19,7 +19,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "packet/mbuf.hpp"
@@ -177,28 +179,94 @@ class PacketBuffer {
 };
 
 /// Order-preserving per-port regrouping for the burst paths (LSI egress,
-/// NF burst egress): frames bound for the same port stay in arrival
-/// order; group discovery order is first-seen. Port counts per burst are
-/// tiny, so group lookup is a linear scan.
+/// NF burst egress, adaptation demux): frames bound for the same port stay
+/// in arrival order; group discovery order is first-seen. The groups adopt
+/// the input burst and build the first group in place, compacting its
+/// frames to the front, so a hop whose survivors all leave on one port
+/// forwards the vector it received with no heap call. Only a real split
+/// allocates: one vector per further group, reserved to the input size.
+/// Port counts per burst are tiny, so group lookup is a linear scan.
+///
+///   BurstGroups<PortId> groups(std::move(burst));
+///   while (PacketBuffer* frame = groups.next()) {
+///     groups.add(port_of(*frame), std::move(*frame));  // or a clone()
+///   }
+///   groups.flush([](PortId port, PacketBurst&& group) { ... });
 template <typename Port>
 class BurstGroups {
  public:
+  explicit BurstGroups(PacketBurst&& input) : frames_(std::move(input)) {}
+
+  /// The next input frame, in order; nullptr once all were read. Frames
+  /// that are read and never added are freed by flush().
+  PacketBuffer* next() {
+    return read_ < frames_.size() ? &frames_[read_++] : nullptr;
+  }
+
+  /// Appends `frame` to `port`'s group. `frame` is the frame next() last
+  /// returned, moved, or a clone of it.
   void add(Port port, PacketBuffer&& frame) {
-    for (auto& [p, group] : groups_) {
+    if (!first_port_ || *first_port_ == port) {
+      first_port_ = port;
+      add_first(std::move(frame));
+      return;
+    }
+    for (auto& [p, group] : rest_) {
       if (p == port) {
         group.push_back(std::move(frame));
         return;
       }
     }
-    groups_.emplace_back(port, PacketBurst{});
-    groups_.back().second.push_back(std::move(frame));
+    if (rest_.empty()) rest_.reserve(frames_.size());
+    rest_.emplace_back(port, PacketBurst{});
+    rest_.back().second.reserve(frames_.size());
+    rest_.back().second.push_back(std::move(frame));
   }
 
-  auto begin() { return groups_.begin(); }
-  auto end() { return groups_.end(); }
+  /// Hands each group to `fn(port, PacketBurst&&)` in first-seen order.
+  template <typename Fn>
+  void flush(Fn&& fn) {
+    if (!first_port_) return;
+    if (spilled_) {
+      frames_.clear();
+      fn(*first_port_, std::move(spill_));
+    } else {
+      frames_.erase(frames_.begin() + static_cast<std::ptrdiff_t>(write_),
+                    frames_.end());
+      fn(*first_port_, std::move(frames_));
+    }
+    for (auto& [p, group] : rest_) fn(p, std::move(group));
+  }
 
  private:
-  std::vector<std::pair<Port, PacketBurst>> groups_;
+  void add_first(PacketBuffer&& frame) {
+    if (!spilled_) {
+      // In place while the write slot trails the read cursor, or is the
+      // input frame itself moving for the last time. A frame replicated
+      // into the first group twice would overtake the cursor (and
+      // overwrite a frame not yet read): move the group out instead.
+      const std::size_t cursor = read_ - 1;
+      if (write_ < cursor ||
+          (write_ == cursor && &frame == &frames_[cursor])) {
+        frames_[write_++] = std::move(frame);
+        return;
+      }
+      spill_.reserve(frames_.size() + 1);
+      for (std::size_t i = 0; i < write_; ++i) {
+        spill_.push_back(std::move(frames_[i]));
+      }
+      spilled_ = true;
+    }
+    spill_.push_back(std::move(frame));
+  }
+
+  PacketBurst frames_;  ///< the input; the first group's storage
+  std::size_t read_ = 0;
+  std::size_t write_ = 0;
+  std::optional<Port> first_port_;
+  bool spilled_ = false;
+  PacketBurst spill_;  ///< the first group once it left frames_
+  std::vector<std::pair<Port, PacketBurst>> rest_;
 };
 
 /// A burst of one: how the per-frame edges of the burst-shaped datapath

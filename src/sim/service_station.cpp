@@ -9,17 +9,6 @@ ServiceStation::ServiceStation(Simulator& simulator,
     : simulator_(simulator), capacity_(queue_capacity) {}
 
 bool ServiceStation::submit(SimTime service_time, Complete complete) {
-  if (!simulator_.on_sim_thread()) {
-    // A datapath worker is handing work to a sim-bound component: bounce
-    // the submit through the simulator's cross-thread mailbox. The item
-    // is accepted optimistically — tail-drop accounting happens on the
-    // sim thread when the post lands.
-    simulator_.post(
-        [this, service_time, complete = std::move(complete)]() mutable {
-          submit(service_time, std::move(complete));
-        });
-    return true;
-  }
   if (queue_.size() >= capacity_) {
     ++stats_.dropped;
     return false;

@@ -1,8 +1,9 @@
 // ServiceStation: the queueing primitive of the simulated datapath.
 //
 // ServiceStation models a single-server queue whose service time is
-// supplied per item — NF instances use it with the per-backend cost model,
-// which is how the VM / Docker / native throughput differences arise.
+// supplied per item — the NF instances of a modelled-timing node use it
+// with the per-backend cost model, which is how the VM / Docker / native
+// throughput differences arise. Single-threaded, like the Simulator.
 #pragma once
 
 #include <cstdint>

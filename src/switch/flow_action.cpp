@@ -35,7 +35,6 @@ ActionOutcome apply_actions(const std::vector<FlowAction>& actions,
   for (const FlowAction& action : actions) {
     switch (action.type) {
       case FlowAction::Type::kOutput:
-        outcome.outputs.push_back(action.port);
         break;
       case FlowAction::Type::kPushVlan:
       case FlowAction::Type::kSetVlan:
@@ -72,6 +71,8 @@ ActionOutcome apply_actions(const std::vector<FlowAction>& actions,
         break;
     }
   }
+  outcome.outputs =
+      OutputPorts(actions.data(), actions.data() + actions.size());
   return outcome;
 }
 

@@ -56,10 +56,56 @@ struct FlowAction {
   bool operator==(const FlowAction&) const = default;
 };
 
+/// The egress ports an action list names, in action order: a view over
+/// its output actions, valid as long as the list is. Running a rule makes
+/// no heap call.
+class OutputPorts {
+ public:
+  class Iterator {
+   public:
+    Iterator(const FlowAction* at, const FlowAction* end)
+        : at_(at), end_(end) {
+      skip();
+    }
+    PortId operator*() const { return at_->port; }
+    Iterator& operator++() {
+      ++at_;
+      skip();
+      return *this;
+    }
+    bool operator==(const Iterator& other) const { return at_ == other.at_; }
+
+   private:
+    void skip() {
+      while (at_ != end_ && at_->type != FlowAction::Type::kOutput) ++at_;
+    }
+    const FlowAction* at_;
+    const FlowAction* end_;
+  };
+
+  OutputPorts() = default;
+  OutputPorts(const FlowAction* first, const FlowAction* last)
+      : first_(first), last_(last) {}
+
+  [[nodiscard]] Iterator begin() const { return {first_, last_}; }
+  [[nodiscard]] Iterator end() const { return {last_, last_}; }
+  [[nodiscard]] bool empty() const { return begin() == end(); }
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = 0;
+    for (Iterator it = begin(); it != end(); ++it) ++n;
+    return n;
+  }
+
+ private:
+  const FlowAction* first_ = nullptr;
+  const FlowAction* last_ = nullptr;
+};
+
 /// Result of running an action list over one packet.
 struct ActionOutcome {
-  /// Egress ports, in action order (a packet may be replicated).
-  std::vector<PortId> outputs;
+  /// Egress ports, in action order (a packet may be replicated); empty
+  /// when the list drops the packet.
+  OutputPorts outputs;
   bool to_controller = false;
   bool dropped = false;
 };
@@ -69,8 +115,11 @@ struct ActionOutcome {
 /// point*; since we return one mutated frame, rewrites that follow an output
 /// also affect earlier outputs — the steering manager never generates such
 /// lists (rewrites always precede outputs), and apply_actions documents the
-/// limitation rather than cloning per output.
+/// limitation rather than cloning per output. The outcome's ports view
+/// `actions`, so a temporary list is refused.
 ActionOutcome apply_actions(const std::vector<FlowAction>& actions,
                             packet::PacketBuffer& frame);
+ActionOutcome apply_actions(std::vector<FlowAction>&& actions,
+                            packet::PacketBuffer& frame) = delete;
 
 }  // namespace nnfv::nfswitch

@@ -76,36 +76,40 @@ void Lsi::receive_burst(PortId port, packet::PacketBurst&& burst) {
   processed_ += burst.size();
 
   // Survivors grouped per egress port, same-port order preserved.
-  packet::BurstGroups<PortId> out;
-
-  for (packet::PacketBuffer& frame : burst) {
-    auto fields = packet::extract_flow_fields(frame.data());
+  packet::BurstGroups<PortId> out(std::move(burst));
+  while (packet::PacketBuffer* frame = out.next()) {
+    auto fields = packet::extract_flow_fields(frame->data());
     if (!fields) {
       NNFV_LOG(kDebug, "lsi") << name_ << ": unparseable frame dropped";
       continue;
     }
     FlowContext ctx{port, fields.value()};
     FlowEntry* entry =
-        table_.lookup_key(FlowKeyView::from_context(ctx), frame.size());
+        table_.lookup_key(FlowKeyView::from_context(ctx), frame->size());
     if (entry == nullptr) {
       if (controller_ != nullptr) {
-        controller_->on_packet_in(*this, port, frame);
+        controller_->on_packet_in(*this, port, *frame);
       }
       continue;
     }
-    ActionOutcome outcome = apply_actions(entry->actions, frame);
+    ActionOutcome outcome = apply_actions(entry->actions, *frame);
     if (outcome.to_controller && controller_ != nullptr) {
-      controller_->on_packet_in(*this, port, frame);
+      controller_->on_packet_in(*this, port, *frame);
     }
-    if (outcome.dropped || outcome.outputs.empty()) continue;
-    for (std::size_t i = 0; i + 1 < outcome.outputs.size(); ++i) {
-      out.add(outcome.outputs[i], frame.clone());
+    if (outcome.dropped) continue;
+    // Replicas are clones; the last output takes the frame itself.
+    std::size_t left = outcome.outputs.size();
+    for (PortId egress : outcome.outputs) {
+      if (--left == 0) {
+        out.add(egress, std::move(*frame));
+      } else {
+        out.add(egress, frame->clone());
+      }
     }
-    out.add(outcome.outputs.back(), std::move(frame));
   }
-  burst.clear();
-
-  for (auto& [p, group] : out) transmit_burst(p, std::move(group));
+  out.flush([this](PortId egress, packet::PacketBurst&& group) {
+    transmit_burst(egress, std::move(group));
+  });
 }
 
 void Lsi::transmit_burst(PortId port, packet::PacketBurst&& burst) {

@@ -2,6 +2,9 @@
 // DPDK drivers, the template registry and the compute manager dispatch.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "compute/generic_driver.hpp"
 #include "compute/instance.hpp"
 #include "compute/manager.hpp"
@@ -30,9 +33,10 @@ packet::PacketBuffer test_frame(std::uint32_t src = 1, std::uint32_t dst = 2) {
 
 TEST(NfInstance, ProcessesAfterServiceDelay) {
   sim::Simulator simulator;
+  NfRuntime runtime{&simulator};  // modelled timing
   NfInstance instance(
       1, "test", std::make_unique<nnf::Bridge>(),
-      virt::CostModel(virt::BackendKind::kNative, {1000, 0.0}), simulator);
+      virt::CostModel(virt::BackendKind::kNative, {1000, 0.0}), runtime);
   ASSERT_TRUE(instance.start().is_ok());
 
   std::vector<sim::SimTime> egress_times;
@@ -49,9 +53,10 @@ TEST(NfInstance, ProcessesAfterServiceDelay) {
 
 TEST(NfInstance, QueuesBackToBack) {
   sim::Simulator simulator;
+  NfRuntime runtime{&simulator};  // modelled timing
   NfInstance instance(
       1, "test", std::make_unique<nnf::Bridge>(),
-      virt::CostModel(virt::BackendKind::kNative, {1000, 0.0}), simulator);
+      virt::CostModel(virt::BackendKind::kNative, {1000, 0.0}), runtime);
   ASSERT_TRUE(instance.start().is_ok());
   int processed = 0;
   instance.set_burst_egress(
@@ -69,9 +74,10 @@ TEST(NfInstance, QueuesBackToBack) {
 
 TEST(NfInstance, DropsWhenNotRunning) {
   sim::Simulator simulator;
+  NfRuntime runtime{&simulator};  // modelled timing
   NfInstance instance(
       1, "test", std::make_unique<nnf::Bridge>(),
-      virt::CostModel(virt::BackendKind::kNative, {0, 0.0}), simulator);
+      virt::CostModel(virt::BackendKind::kNative, {0, 0.0}), runtime);
   instance.inject(nnf::kDefaultContext, 0, test_frame());  // created
   ASSERT_TRUE(instance.start().is_ok());
   ASSERT_TRUE(instance.stop().is_ok());
@@ -80,11 +86,56 @@ TEST(NfInstance, DropsWhenNotRunning) {
   EXPECT_EQ(instance.dropped_not_running(), 2u);
 }
 
+/// Records the `now` every frame is processed at.
+class NowRecorder final : public nnf::NetworkFunction {
+ public:
+  std::string_view type() const override { return "now-recorder"; }
+  std::size_t num_ports() const override { return 1; }
+  util::Status configure(nnf::ContextId, const nnf::NfConfig&) override {
+    return util::Status::ok();
+  }
+  std::vector<nnf::NfOutput> process(nnf::ContextId, nnf::NfPortIndex,
+                                     sim::SimTime now,
+                                     packet::PacketBuffer&&) override {
+    seen.push_back(now);
+    return {};
+  }
+  std::vector<sim::SimTime> seen;
+};
+
+TEST(NfInstance, WallClockNowIsOneReadPerBurst) {
+  NfRuntime runtime;  // wall clock
+  auto function = std::make_unique<NowRecorder>();
+  const std::vector<sim::SimTime>& seen = function->seen;
+  NfInstance instance(
+      1, "test", std::move(function),
+      virt::CostModel(virt::BackendKind::kNative, {1000, 0.0}), runtime);
+  ASSERT_TRUE(instance.start().is_ok());
+  auto burst = []() {
+    packet::PacketBurst frames;
+    for (int i = 0; i < 4; ++i) frames.push_back(test_frame());
+    return frames;
+  };
+
+  // The hop runs in this thread: no simulator to run.
+  instance.inject_burst(nnf::kDefaultContext, 0, burst());
+  ASSERT_EQ(seen.size(), 4u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  instance.inject_burst(nnf::kDefaultContext, 0, burst());
+  ASSERT_EQ(seen.size(), 8u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(seen[i], seen[0]);
+    EXPECT_EQ(seen[4 + i], seen[4]);
+  }
+  EXPECT_GE(seen[4] - seen[0], 2 * sim::kMillisecond);
+}
+
 TEST(NfInstance, LifecycleTransitions) {
   sim::Simulator simulator;
+  NfRuntime runtime{&simulator};  // modelled timing
   NfInstance instance(
       1, "test", std::make_unique<nnf::Bridge>(),
-      virt::CostModel(virt::BackendKind::kVm, {0, 0.0}), simulator);
+      virt::CostModel(virt::BackendKind::kVm, {0, 0.0}), runtime);
   EXPECT_EQ(instance.state(), InstanceState::kCreated);
   EXPECT_FALSE(instance.stop().is_ok());  // not running yet
   EXPECT_TRUE(instance.start().is_ok());
@@ -97,11 +148,12 @@ TEST(NfInstance, LifecycleTransitions) {
 
 TEST(NfInstance, EgressPerContext) {
   sim::Simulator simulator;
+  NfRuntime runtime{&simulator};  // modelled timing
   auto bridge = std::make_unique<nnf::Bridge>();
   ASSERT_TRUE(bridge->add_context(1).is_ok());
   NfInstance instance(
       1, "test", std::move(bridge),
-      virt::CostModel(virt::BackendKind::kNative, {0, 0.0}), simulator);
+      virt::CostModel(virt::BackendKind::kNative, {0, 0.0}), runtime);
   ASSERT_TRUE(instance.start().is_ok());
   int ctx0 = 0;
   int ctx1 = 0;
@@ -166,7 +218,7 @@ class GenericDriverFixture : public ::testing::Test {
         disk_(4096ULL * virt::kMiB),
         ram_(1024ULL * virt::kMiB),
         lsi_(1, "LSI-g1") {
-    env_.simulator = &simulator_;
+    env_.runtime = &runtime_;
     env_.templates = &repository_.templates();
     env_.images = &repository_.images();
     env_.disk = &disk_;
@@ -182,7 +234,7 @@ class GenericDriverFixture : public ::testing::Test {
     return spec;
   }
 
-  sim::Simulator simulator_;
+  NfRuntime runtime_;
   core::VnfRepository repository_;
   virt::DiskLedger disk_;
   virt::RamLedger ram_;
@@ -269,7 +321,6 @@ TEST_F(GenericDriverFixture, DatapathFlowsThroughLsi) {
       {nfswitch::FlowAction::output(ext_out)});
 
   lsi_.receive(ext_in, test_frame());
-  simulator_.run();
   EXPECT_EQ(delivered, 1);  // bridge flooded out its port 1 -> ext-out
 }
 

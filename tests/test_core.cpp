@@ -83,13 +83,13 @@ class ResolverFixture : public ::testing::Test {
         resources_(NodeCapacity{}),
         resolver_(&repository_, &catalog_) {
     compute::DriverEnv generic;
-    generic.simulator = &simulator_;
+    generic.runtime = &runtime_;
     generic.templates = &repository_.templates();
     generic.images = &repository_.images();
     generic.disk = &resources_.disk();
     generic.ram = &resources_.ram();
     compute::NativeDriverEnv native;
-    native.simulator = &simulator_;
+    native.runtime = &runtime_;
     native.catalog = &catalog_;
     native.netns = &netns_;
     native.marks = &marks_;
@@ -104,7 +104,7 @@ class ResolverFixture : public ::testing::Test {
             virt::BackendKind::kVm, "libvirt", generic));
   }
 
-  sim::Simulator simulator_;
+  compute::NfRuntime runtime_;
   nnf::NnfCatalog catalog_;
   netns::NamespaceRegistry netns_;
   nnf::MarkAllocator marks_;

@@ -192,7 +192,8 @@ TEST(Integration, IpsecTunnelAcrossTwoNodes) {
 }
 
 double measure_ipsec_goodput(virt::BackendKind backend) {
-  UniversalNode node;
+  // Table 1 is an output of the service-time model, in simulated time.
+  UniversalNode node(UniversalNodeConfig{.modelled_timing = true});
   nffg::NfFg graph = chain_graph("m", "ipsec", backend);
   graph.nfs[0].config = {
       {"local_ip", "198.51.100.1"}, {"peer_ip", "198.51.100.2"},

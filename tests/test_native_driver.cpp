@@ -31,7 +31,7 @@ class NativeDriverFixture : public ::testing::Test {
         ram_(1024ULL * virt::kMiB),
         lsi_a_(1, "LSI-gA"),
         lsi_b_(2, "LSI-gB") {
-    env_.simulator = &simulator_;
+    env_.runtime = &runtime_;
     env_.catalog = &catalog_;
     env_.netns = &netns_;
     env_.marks = &marks_;
@@ -49,7 +49,7 @@ class NativeDriverFixture : public ::testing::Test {
     return spec;
   }
 
-  sim::Simulator simulator_;
+  NfRuntime runtime_;
   nnf::NnfCatalog catalog_;
   netns::NamespaceRegistry netns_;
   nnf::MarkAllocator marks_;
@@ -177,7 +177,6 @@ TEST_F(NativeDriverFixture, SingleInterfaceDatapathTranslates) {
       {nfswitch::FlowAction::output(ext_out)});
 
   lsi_a_.receive(ext_in, udp_frame("192.168.1.10"));
-  simulator_.run();
 
   ASSERT_EQ(delivered.size(), 1u);
   // The frame came back untagged (marks are internal mechanics)...
@@ -224,7 +223,6 @@ TEST_F(NativeDriverFixture, SharedNatKeepsGraphTrafficApart) {
 
   lsi_a_.receive(in_a, udp_frame("192.168.1.10"));
   lsi_b_.receive(in_b, udp_frame("192.168.1.10"));
-  simulator_.run();
 
   ASSERT_EQ(out_a.size(), 1u);
   ASSERT_EQ(out_b.size(), 1u);

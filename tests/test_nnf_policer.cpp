@@ -171,6 +171,8 @@ TEST(PolicerEndToEnd, RatePlanEnforcedOnNode) {
   // 100 Mbit/s upstream and check the WAN side sees ~20.
   core::UniversalNodeConfig config;
   config.generic_config_translation = true;
+  // The token bucket refills on the clock the source's rate is set in.
+  config.modelled_timing = true;
   core::UniversalNode node(config);
 
   nffg::NfFg graph;

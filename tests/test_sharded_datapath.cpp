@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -577,6 +578,14 @@ TEST(ShardedDatapath, NodeDefaultStaysInline) {
   core::UniversalNode node;  // datapath_workers = 0
   EXPECT_EQ(node.datapath(), nullptr);
   node.drain_datapath();  // no-op, must not crash
+}
+
+TEST(ShardedDatapath, ModelledTimingRefusesWorkers) {
+  // The service stations and the simulator are single-threaded.
+  core::UniversalNodeConfig config;
+  config.datapath_workers = 2;
+  config.modelled_timing = true;
+  EXPECT_THROW(core::UniversalNode node(config), std::invalid_argument);
 }
 
 }  // namespace

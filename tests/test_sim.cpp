@@ -1,7 +1,6 @@
 // Discrete-event core tests: ordering, determinism, stations.
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -145,61 +144,6 @@ TEST(ServiceStation, DropsWhenQueueFull) {
   simulator.run();
   EXPECT_EQ(completed, 2);
   EXPECT_EQ(station.stats().dropped, 1u);
-}
-
-TEST(Simulator, OnSimThreadTracksLoopOwner) {
-  Simulator simulator;
-  EXPECT_TRUE(simulator.on_sim_thread());  // constructing thread
-  bool seen_on_worker = true;
-  std::thread worker(
-      [&]() { seen_on_worker = simulator.on_sim_thread(); });
-  worker.join();
-  EXPECT_FALSE(seen_on_worker);
-}
-
-TEST(Simulator, PostFromAnotherThreadRunsOnSimThread) {
-  Simulator simulator;
-  std::thread::id handler_thread;
-  SimTime handler_time = -1;
-  std::thread worker([&]() {
-    simulator.post([&]() {
-      handler_thread = std::this_thread::get_id();
-      handler_time = simulator.now();
-    });
-  });
-  worker.join();
-  // Posted work is invisible until a run loop drains the mailbox.
-  simulator.run();
-  EXPECT_EQ(handler_thread, std::this_thread::get_id());
-  EXPECT_EQ(handler_time, 0);
-}
-
-TEST(Simulator, PostedHandlersRunAtCurrentClock) {
-  Simulator simulator;
-  simulator.schedule(100, []() {});
-  simulator.run();  // clock at 100
-  std::thread worker([&]() { simulator.post([]() {}); });
-  worker.join();
-  SimTime seen = -1;
-  simulator.schedule(50, [&]() { seen = simulator.now(); });
-  simulator.run();
-  EXPECT_EQ(seen, 150);
-  EXPECT_EQ(simulator.now(), 150);
-}
-
-TEST(ServiceStation, SubmitFromWorkerThreadBouncesToSimThread) {
-  Simulator simulator;
-  ServiceStation station(simulator, /*queue_capacity=*/4);
-  int completed = 0;
-  std::thread worker([&]() {
-    // Off the sim thread the submit is posted, not executed inline.
-    EXPECT_TRUE(station.submit(10, [&]() { ++completed; }));
-  });
-  worker.join();
-  EXPECT_EQ(station.queue_depth(), 0u);  // not yet landed
-  simulator.run();
-  EXPECT_EQ(completed, 1);
-  EXPECT_EQ(station.stats().completed, 1u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // forwarding and controller punting.
 #include <gtest/gtest.h>
 
+#include "heap_counter.hpp"
 #include "packet/builder.hpp"
 #include "switch/flow_table.hpp"
 #include "switch/lsi.hpp"
@@ -134,19 +135,27 @@ TEST(FlowMatch, MacAddresses) {
 // Actions
 // ---------------------------------------------------------------------------
 
+std::vector<PortId> ports_of(const OutputPorts& outputs) {
+  std::vector<PortId> ports;
+  for (PortId port : outputs) ports.push_back(port);
+  return ports;
+}
+
 TEST(Actions, OutputCollectsPorts) {
   auto frame = make_udp("1.1.1.1", "2.2.2.2", 1, 2);
-  auto outcome = apply_actions(
-      {FlowAction::output(3), FlowAction::output(7)}, frame);
-  EXPECT_EQ(outcome.outputs, (std::vector<PortId>{3, 7}));
+  const std::vector<FlowAction> actions{FlowAction::output(3),
+                                        FlowAction::output(7)};
+  auto outcome = apply_actions(actions, frame);
+  EXPECT_EQ(ports_of(outcome.outputs), (std::vector<PortId>{3, 7}));
   EXPECT_FALSE(outcome.dropped);
   EXPECT_FALSE(outcome.to_controller);
 }
 
 TEST(Actions, DropTerminates) {
   auto frame = make_udp("1.1.1.1", "2.2.2.2", 1, 2);
-  auto outcome = apply_actions(
-      {FlowAction::drop(), FlowAction::output(3)}, frame);
+  const std::vector<FlowAction> actions{FlowAction::drop(),
+                                        FlowAction::output(3)};
+  auto outcome = apply_actions(actions, frame);
   EXPECT_TRUE(outcome.dropped);
   EXPECT_TRUE(outcome.outputs.empty());
 }
@@ -154,21 +163,22 @@ TEST(Actions, DropTerminates) {
 TEST(Actions, VlanPushPop) {
   auto frame = make_udp("1.1.1.1", "2.2.2.2", 1, 2);
   const std::size_t base = frame.size();
-  auto outcome = apply_actions({FlowAction::push_vlan(99)}, frame);
+  const std::vector<FlowAction> push{FlowAction::push_vlan(99)};
+  apply_actions(push, frame);
   EXPECT_EQ(frame.size(), base + packet::kVlanTagSize);
   EXPECT_EQ(packet::parse_ethernet(frame.data())->vlan.value_or(0), 99);
-  outcome = apply_actions({FlowAction::pop_vlan()}, frame);
+  const std::vector<FlowAction> pop{FlowAction::pop_vlan()};
+  apply_actions(pop, frame);
   EXPECT_EQ(frame.size(), base);
-  (void)outcome;
 }
 
 TEST(Actions, MacRewrite) {
   auto frame = make_udp("1.1.1.1", "2.2.2.2", 1, 2);
   const auto new_src = packet::MacAddress::from_id(0xAA);
   const auto new_dst = packet::MacAddress::from_id(0xBB);
-  apply_actions({FlowAction::set_eth_src(new_src),
-                 FlowAction::set_eth_dst(new_dst)},
-                frame);
+  const std::vector<FlowAction> actions{FlowAction::set_eth_src(new_src),
+                                        FlowAction::set_eth_dst(new_dst)};
+  apply_actions(actions, frame);
   auto eth = packet::parse_ethernet(frame.data());
   EXPECT_EQ(eth->src, new_src);
   EXPECT_EQ(eth->dst, new_dst);
@@ -176,8 +186,9 @@ TEST(Actions, MacRewrite) {
 
 TEST(Actions, ControllerFlagSet) {
   auto frame = make_udp("1.1.1.1", "2.2.2.2", 1, 2);
-  auto outcome = apply_actions(
-      {FlowAction::to_controller(), FlowAction::output(1)}, frame);
+  const std::vector<FlowAction> actions{FlowAction::to_controller(),
+                                        FlowAction::output(1)};
+  auto outcome = apply_actions(actions, frame);
   EXPECT_TRUE(outcome.to_controller);
   EXPECT_EQ(outcome.outputs.size(), 1u);
 }
@@ -620,6 +631,66 @@ TEST(LsiBurst, BurstMissesPuntToController) {
   lsi.receive_burst(in, std::move(burst));
   EXPECT_EQ(controller.punts, 2);
   EXPECT_EQ(lsi.flow_table().misses(), 2u);
+}
+
+TEST(LsiBurst, SinglePortPassMakesNoHeapCalls) {
+  Lsi lsi(1, "in-place");
+  const PortId in = lsi.add_port("in").value();
+  const PortId out = lsi.add_port("out").value();
+  const packet::PacketBuffer* forwarded = nullptr;
+  std::size_t forwarded_size = 0;
+  (void)lsi.set_port_burst_peer(out, [&](packet::PacketBurst&& burst) {
+    forwarded = burst.data();
+    forwarded_size = burst.size();
+  });
+  lsi.flow_table().add(10, match_in_port(in), {FlowAction::output(out)});
+
+  constexpr std::size_t kBurst = 32;
+  for (int round = 0; round < 3; ++round) {
+    packet::PacketBurst burst;
+    burst.reserve(kBurst);
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      burst.push_back(make_udp("1.1.1.1", "2.2.2.2",
+                               static_cast<std::uint16_t>(1 + i % 4), 80));
+    }
+    const packet::PacketBuffer* input = burst.data();
+    const std::uint64_t before = test::heap_calls();
+    lsi.receive_burst(in, std::move(burst));
+    const std::uint64_t calls = test::heap_calls() - before;
+    ASSERT_EQ(forwarded_size, kBurst);
+    if (round == 0) continue;  // warm-up: microflow cache entries
+    EXPECT_EQ(calls, 0u) << "round " << round;
+    // All survivors leave on one port: the very vector that came in.
+    EXPECT_EQ(forwarded, input);
+  }
+}
+
+TEST(LsiBurst, ReplicationIntoFirstGroupKeepsEveryFrame) {
+  Lsi lsi(1, "replicate");
+  const PortId in = lsi.add_port("in").value();
+  const PortId out = lsi.add_port("out").value();
+  std::vector<std::uint16_t> seen;
+  (void)lsi.set_port_peer(out, [&](packet::PacketBuffer&& frame) {
+    seen.push_back(*packet::extract_flow_fields(frame.data())->l4_src);
+  });
+  FlowMatch twice = match_in_port(in);
+  twice.tp_dst = 1000;
+  FlowMatch once = match_in_port(in);
+  once.tp_dst = 2000;
+  lsi.flow_table().add(10, twice,
+                       {FlowAction::output(out), FlowAction::output(out)});
+  lsi.flow_table().add(10, once, {FlowAction::output(out)});
+
+  // Source port = position in the burst. Frame 1 misses the table, so
+  // frame 2's replicas are compacted in place; frame 4's would overtake
+  // the read cursor.
+  const std::uint16_t dports[] = {2000, 3000, 1000, 2000, 1000, 2000};
+  packet::PacketBurst burst;
+  for (std::uint16_t i = 0; i < 6; ++i) {
+    burst.push_back(make_udp("1.1.1.1", "2.2.2.2", i, dports[i]));
+  }
+  lsi.receive_burst(in, std::move(burst));
+  EXPECT_EQ(seen, (std::vector<std::uint16_t>{0, 2, 2, 3, 4, 4, 5}));
 }
 
 }  // namespace
